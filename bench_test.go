@@ -280,7 +280,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		mk   func() sim.Observer
 	}{
 		{"nil", func() sim.Observer { return nil }},
-		{"nop", func() sim.Observer { return sim.NopObserver{} }},
+		{"nop", func() sim.Observer { return sim.Observers{} }},
 		{"counters", func() sim.Observer { return obs.NewCounters() }},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
@@ -416,11 +416,11 @@ func TestCountersNoAllocs(t *testing.T) {
 	c := obs.NewCounters()
 	task := &sim.TaskState{}
 	if n := testing.AllocsPerRun(1000, func() {
-		c.TaskStarted(0, task, 0)
-		c.TaskPreempted(0, task, task, 0)
-		c.TaskCompleted(0, task, 0)
-		c.EpochStarted(0, 1)
-		c.PreemptionConsidered(0, sim.PreemptionDecision{Verdict: sim.VerdictAccepted})
+		c.Observe(sim.Event{Kind: sim.EvTaskStarted, Task: task})
+		c.Observe(sim.Event{Kind: sim.EvTaskPreempted, Task: task, Other: task})
+		c.Observe(sim.Event{Kind: sim.EvTaskCompleted, Task: task})
+		c.Observe(sim.Event{Kind: sim.EvEpochStarted, N: 1})
+		c.Observe(sim.Event{Kind: sim.EvPreemptionConsidered, Decision: sim.PreemptionDecision{Verdict: sim.VerdictAccepted}})
 	}); n != 0 {
 		t.Errorf("counter hot path allocates %v times per event batch, want 0", n)
 	}

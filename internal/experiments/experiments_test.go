@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"io"
 	"math"
 	"testing"
 
-	"dsp/internal/cluster"
 	"dsp/internal/sim"
-	"dsp/internal/units"
 )
 
 // tinyOptions keeps the test sweep fast while exercising the full
@@ -249,14 +246,15 @@ func TestFairnessTable(t *testing.T) {
 // markerObserver records the run labels the sweep announces and counts
 // the events it receives, proving every cell's simulation is observed.
 type markerObserver struct {
-	sim.NopObserver
 	labels []string
 	starts int
 }
 
 func (m *markerObserver) BeginRun(label string) { m.labels = append(m.labels, label) }
-func (m *markerObserver) TaskStarted(units.Time, *sim.TaskState, cluster.NodeID) {
-	m.starts++
+func (m *markerObserver) Observe(e sim.Event) {
+	if e.Kind == sim.EvTaskStarted {
+		m.starts++
+	}
 }
 
 func TestSweepObserverThreading(t *testing.T) {
@@ -277,7 +275,7 @@ func TestSweepObserverThreading(t *testing.T) {
 		t.Error("observer attached to sweep saw no task events")
 	}
 	// An observer without BeginRun still works (plain sim.Observer).
-	o.Observer = &sim.LogObserver{W: io.Discard, Quiet: true}
+	o.Observer = sim.Observers{}
 	if _, err := Fig5(Real, o); err != nil {
 		t.Fatal(err)
 	}

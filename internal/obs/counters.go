@@ -5,188 +5,40 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"dsp/internal/cluster"
 	"dsp/internal/sim"
-	"dsp/internal/units"
 )
 
-// Counters is an always-cheap event tally: one atomic per event class,
-// no allocation per event, safe to share across concurrently running
-// simulations (the experiment harness may fan out runs; `go test -race`
-// covers this in CI).
+// Counters is an always-cheap event tally: one atomic per event kind
+// plus one per preemption verdict, no allocation per event, safe to
+// share across concurrently running simulations (the experiment harness
+// may fan out runs; `go test -race` covers this in CI).
 type Counters struct {
-	sim.NopObserver
-
-	TaskStarts      atomic.Int64
-	TaskCompletions atomic.Int64
-	TaskPreemptions atomic.Int64
-	JobCompletions  atomic.Int64
-	Epochs          atomic.Int64
-
-	// Decision verdict tallies; Accepted+UrgentOverrides equals the
-	// engine's Result.Preemptions, Disorders its Result.Disorders.
-	Considered      atomic.Int64
-	Accepted        atomic.Int64
-	SuppressedByPP  atomic.Int64
-	UrgentOverrides atomic.Int64
-	Disorders       atomic.Int64
-
-	NodeFailures   atomic.Int64
-	NodeRecoveries atomic.Int64
-	Evictions      atomic.Int64
-	Requeues       atomic.Int64
-
-	// Resilience tallies: retry/terminal-failure outcomes, speculative
-	// copies, and health blacklistings.
-	Retries          atomic.Int64
-	TerminalFailures atomic.Int64
-	SpecLaunches     atomic.Int64
-	SpecWins         atomic.Int64
-	SpecCancels      atomic.Int64
-	Blacklistings    atomic.Int64
-
-	// Overload tallies: scheduler degradation-ladder downgrades,
-	// admission-control sheddings, explicit job cancellations (streaming
-	// ingestion), and invariant-auditor detections.
-	SolverDegradations  atomic.Int64
-	JobSheds            atomic.Int64
-	JobCancellations    atomic.Int64
-	InvariantViolations atomic.Int64
-
-	// Durability tallies: periodic crash-recovery snapshots, resumed-run
-	// recoveries, and completed write-ahead-log replays.
-	Snapshots  atomic.Int64
-	Recoveries atomic.Int64
-	Replays    atomic.Int64
+	kinds [sim.NumEventKinds]atomic.Int64
+	// verdicts splits EvPreemptionConsidered by Decision.Verdict;
+	// accepted+urgent-override equals the engine's Result.Preemptions,
+	// disorder its Result.Disorders.
+	verdicts [numVerdicts]atomic.Int64
 }
+
+// numVerdicts is the number of sim.Verdict values.
+const numVerdicts = int(sim.VerdictDisorder) + 1
 
 // NewCounters returns a zeroed registry.
 func NewCounters() *Counters { return &Counters{} }
 
-// TaskStarted implements sim.Observer.
-func (c *Counters) TaskStarted(units.Time, *sim.TaskState, cluster.NodeID) {
-	c.TaskStarts.Add(1)
-}
-
-// TaskPreempted implements sim.Observer.
-func (c *Counters) TaskPreempted(units.Time, *sim.TaskState, *sim.TaskState, cluster.NodeID) {
-	c.TaskPreemptions.Add(1)
-}
-
-// TaskCompleted implements sim.Observer.
-func (c *Counters) TaskCompleted(units.Time, *sim.TaskState, cluster.NodeID) {
-	c.TaskCompletions.Add(1)
-}
-
-// JobCompleted implements sim.Observer.
-func (c *Counters) JobCompleted(units.Time, *sim.JobState) {
-	c.JobCompletions.Add(1)
-}
-
-// EpochStarted implements sim.Observer.
-func (c *Counters) EpochStarted(units.Time, int) {
-	c.Epochs.Add(1)
-}
-
-// PreemptionConsidered implements sim.Observer.
-func (c *Counters) PreemptionConsidered(_ units.Time, d sim.PreemptionDecision) {
-	c.Considered.Add(1)
-	switch d.Verdict {
-	case sim.VerdictAccepted:
-		c.Accepted.Add(1)
-	case sim.VerdictSuppressedByPP:
-		c.SuppressedByPP.Add(1)
-	case sim.VerdictUrgentOverride:
-		c.UrgentOverrides.Add(1)
-	case sim.VerdictDisorder:
-		c.Disorders.Add(1)
+// Observe implements sim.Observer.
+func (c *Counters) Observe(e sim.Event) {
+	c.kinds[e.Kind].Add(1)
+	if e.Kind == sim.EvPreemptionConsidered && int(e.Decision.Verdict) < numVerdicts {
+		c.verdicts[e.Decision.Verdict].Add(1)
 	}
 }
 
-// NodeFailed implements sim.Observer.
-func (c *Counters) NodeFailed(units.Time, cluster.NodeID) {
-	c.NodeFailures.Add(1)
-}
+// Count returns how many events of kind k were observed.
+func (c *Counters) Count(k sim.EventKind) int64 { return c.kinds[k].Load() }
 
-// NodeRecovered implements sim.Observer.
-func (c *Counters) NodeRecovered(units.Time, cluster.NodeID) {
-	c.NodeRecoveries.Add(1)
-}
-
-// TaskEvicted implements sim.Observer.
-func (c *Counters) TaskEvicted(units.Time, *sim.TaskState, cluster.NodeID) {
-	c.Evictions.Add(1)
-}
-
-// TaskRequeued implements sim.Observer.
-func (c *Counters) TaskRequeued(units.Time, *sim.TaskState, cluster.NodeID, sim.RequeueReason) {
-	c.Requeues.Add(1)
-}
-
-// TaskRetried implements sim.Observer.
-func (c *Counters) TaskRetried(units.Time, *sim.TaskState, cluster.NodeID, int, sim.RetryReason) {
-	c.Retries.Add(1)
-}
-
-// TaskFailedTerminally implements sim.Observer.
-func (c *Counters) TaskFailedTerminally(units.Time, *sim.TaskState, cluster.NodeID) {
-	c.TerminalFailures.Add(1)
-}
-
-// SpeculationLaunched implements sim.Observer.
-func (c *Counters) SpeculationLaunched(units.Time, *sim.TaskState, cluster.NodeID, cluster.NodeID) {
-	c.SpecLaunches.Add(1)
-}
-
-// SpeculationWon implements sim.Observer.
-func (c *Counters) SpeculationWon(units.Time, *sim.TaskState, cluster.NodeID, cluster.NodeID) {
-	c.SpecWins.Add(1)
-}
-
-// SpeculationCancelled implements sim.Observer.
-func (c *Counters) SpeculationCancelled(units.Time, *sim.TaskState, cluster.NodeID) {
-	c.SpecCancels.Add(1)
-}
-
-// NodeBlacklisted implements sim.Observer.
-func (c *Counters) NodeBlacklisted(units.Time, cluster.NodeID) {
-	c.Blacklistings.Add(1)
-}
-
-// SolverDegraded implements sim.Observer.
-func (c *Counters) SolverDegraded(units.Time, sim.SolverDegradation) {
-	c.SolverDegradations.Add(1)
-}
-
-// JobShed implements sim.Observer.
-func (c *Counters) JobShed(units.Time, *sim.JobState, sim.ShedReason) {
-	c.JobSheds.Add(1)
-}
-
-// JobCancelled implements sim.Observer.
-func (c *Counters) JobCancelled(units.Time, *sim.JobState) {
-	c.JobCancellations.Add(1)
-}
-
-// InvariantViolated implements sim.Observer.
-func (c *Counters) InvariantViolated(units.Time, sim.InvariantViolation) {
-	c.InvariantViolations.Add(1)
-}
-
-// SnapshotTaken implements sim.Observer.
-func (c *Counters) SnapshotTaken(units.Time, int) {
-	c.Snapshots.Add(1)
-}
-
-// RecoveryStarted implements sim.Observer.
-func (c *Counters) RecoveryStarted(units.Time, int) {
-	c.Recoveries.Add(1)
-}
-
-// Replayed implements sim.Observer.
-func (c *Counters) Replayed(units.Time, int) {
-	c.Replays.Add(1)
-}
+// Verdict returns how many preemption decisions ended in verdict v.
+func (c *Counters) Verdict(v sim.Verdict) int64 { return c.verdicts[v].Load() }
 
 // Counter is one named tally in a snapshot.
 type Counter struct {
@@ -194,37 +46,42 @@ type Counter struct {
 	Value int64
 }
 
-// Snapshot returns the current tallies in a fixed order.
+// snapshotKinds is the fixed Snapshot order. EvEpochEnded,
+// EvDisorderDetected (mirrored by the disorder verdict) and
+// EvTaskSpanClosed are tallied but not reported.
+var snapshotKinds = []sim.EventKind{
+	sim.EvTaskStarted, sim.EvTaskCompleted, sim.EvTaskPreempted,
+	sim.EvJobCompleted, sim.EvEpochStarted, sim.EvPreemptionConsidered,
+	sim.EvNodeFailed, sim.EvNodeRecovered, sim.EvTaskEvicted,
+	sim.EvTaskRequeued, sim.EvTaskRetried, sim.EvTaskFailedTerminally,
+	sim.EvSpeculationLaunched, sim.EvSpeculationWon, sim.EvSpeculationCancelled,
+	sim.EvNodeBlacklisted, sim.EvSolverDegraded, sim.EvJobShed,
+	sim.EvJobCancelled, sim.EvInvariantViolated, sim.EvSnapshotTaken,
+	sim.EvRecoveryStarted, sim.EvReplayed,
+}
+
+// verdictNames are the verdict tallies' names, reported right after
+// decisions-considered.
+var verdictNames = [numVerdicts]string{
+	sim.VerdictAccepted:       "decisions-accepted",
+	sim.VerdictSuppressedByPP: "decisions-suppressed-by-pp",
+	sim.VerdictUrgentOverride: "decisions-urgent-override",
+	sim.VerdictDisorder:       "decisions-disorder",
+}
+
+// Snapshot returns the current tallies in a fixed order, named by
+// sim.EventKind.String and verdictNames.
 func (c *Counters) Snapshot() []Counter {
-	return []Counter{
-		{"task-starts", c.TaskStarts.Load()},
-		{"task-completions", c.TaskCompletions.Load()},
-		{"task-preemptions", c.TaskPreemptions.Load()},
-		{"job-completions", c.JobCompletions.Load()},
-		{"epochs", c.Epochs.Load()},
-		{"decisions-considered", c.Considered.Load()},
-		{"decisions-accepted", c.Accepted.Load()},
-		{"decisions-suppressed-by-pp", c.SuppressedByPP.Load()},
-		{"decisions-urgent-override", c.UrgentOverrides.Load()},
-		{"decisions-disorder", c.Disorders.Load()},
-		{"node-failures", c.NodeFailures.Load()},
-		{"node-recoveries", c.NodeRecoveries.Load()},
-		{"task-evictions", c.Evictions.Load()},
-		{"task-requeues", c.Requeues.Load()},
-		{"task-retries", c.Retries.Load()},
-		{"task-terminal-failures", c.TerminalFailures.Load()},
-		{"speculations-launched", c.SpecLaunches.Load()},
-		{"speculations-won", c.SpecWins.Load()},
-		{"speculations-cancelled", c.SpecCancels.Load()},
-		{"node-blacklistings", c.Blacklistings.Load()},
-		{"solver-degradations", c.SolverDegradations.Load()},
-		{"jobs-shed", c.JobSheds.Load()},
-		{"job-cancellations", c.JobCancellations.Load()},
-		{"invariant-violations", c.InvariantViolations.Load()},
-		{"snapshots-taken", c.Snapshots.Load()},
-		{"recoveries-started", c.Recoveries.Load()},
-		{"wal-replays", c.Replays.Load()},
+	out := make([]Counter, 0, len(snapshotKinds)+numVerdicts)
+	for _, k := range snapshotKinds {
+		out = append(out, Counter{k.String(), c.Count(k)})
+		if k == sim.EvPreemptionConsidered {
+			for v, name := range verdictNames {
+				out = append(out, Counter{name, c.verdicts[v].Load()})
+			}
+		}
 	}
+	return out
 }
 
 // String renders the snapshot as aligned text, one counter per line.

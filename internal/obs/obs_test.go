@@ -308,18 +308,18 @@ func TestVerdictsMatchResult(t *testing.T) {
 			}
 
 			// Counters vs engine result.
-			accepted := ctr.Accepted.Load() + ctr.UrgentOverrides.Load()
+			accepted := ctr.Verdict(sim.VerdictAccepted) + ctr.Verdict(sim.VerdictUrgentOverride)
 			if accepted != int64(res.Preemptions) {
 				t.Errorf("accepted+urgent-override = %d, want Result.Preemptions = %d", accepted, res.Preemptions)
 			}
-			if ctr.Disorders.Load() != int64(res.Disorders) {
-				t.Errorf("disorder verdicts = %d, want Result.Disorders = %d", ctr.Disorders.Load(), res.Disorders)
+			if ctr.Verdict(sim.VerdictDisorder) != int64(res.Disorders) {
+				t.Errorf("disorder verdicts = %d, want Result.Disorders = %d", ctr.Verdict(sim.VerdictDisorder), res.Disorders)
 			}
-			if ctr.TaskPreemptions.Load() != int64(res.Preemptions) {
-				t.Errorf("TaskPreempted events = %d, want %d", ctr.TaskPreemptions.Load(), res.Preemptions)
+			if ctr.Count(sim.EvTaskPreempted) != int64(res.Preemptions) {
+				t.Errorf("TaskPreempted events = %d, want %d", ctr.Count(sim.EvTaskPreempted), res.Preemptions)
 			}
-			if ctr.TaskCompletions.Load() != int64(res.TasksCompleted) {
-				t.Errorf("TaskCompleted events = %d, want %d", ctr.TaskCompletions.Load(), res.TasksCompleted)
+			if ctr.Count(sim.EvTaskCompleted) != int64(res.TasksCompleted) {
+				t.Errorf("TaskCompleted events = %d, want %d", ctr.Count(sim.EvTaskCompleted), res.TasksCompleted)
 			}
 
 			// Audit JSONL, recomputed from scratch, agrees with both.
@@ -410,7 +410,7 @@ func TestSinkEndToEnd(t *testing.T) {
 			t.Errorf("sink artifact %s missing or empty (err=%v)", f, err)
 		}
 	}
-	if got := sink.Counters.TaskPreemptions.Load(); got != int64(res.Preemptions) {
+	if got := sink.Counters.Count(sim.EvTaskPreempted); got != int64(res.Preemptions) {
 		t.Errorf("sink counters saw %d preemptions, result says %d", got, res.Preemptions)
 	}
 
@@ -536,12 +536,12 @@ func TestResilienceGoldenAndCounters(t *testing.T) {
 		got  int64
 		want int
 	}{
-		{"retries", ctr.Retries.Load(), res.Retries},
-		{"terminal failures", ctr.TerminalFailures.Load(), res.TerminalFailures},
-		{"spec launches", ctr.SpecLaunches.Load(), res.Speculations},
-		{"spec wins", ctr.SpecWins.Load(), res.SpeculationWins},
-		{"spec cancels", ctr.SpecCancels.Load(), res.SpeculationCancels},
-		{"blacklistings", ctr.Blacklistings.Load(), res.Blacklistings},
+		{"retries", ctr.Count(sim.EvTaskRetried), res.Retries},
+		{"terminal failures", ctr.Count(sim.EvTaskFailedTerminally), res.TerminalFailures},
+		{"spec launches", ctr.Count(sim.EvSpeculationLaunched), res.Speculations},
+		{"spec wins", ctr.Count(sim.EvSpeculationWon), res.SpeculationWins},
+		{"spec cancels", ctr.Count(sim.EvSpeculationCancelled), res.SpeculationCancels},
+		{"blacklistings", ctr.Count(sim.EvNodeBlacklisted), res.Blacklistings},
 	}
 	for _, c := range checks {
 		if c.got != int64(c.want) {

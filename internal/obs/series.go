@@ -28,12 +28,11 @@ const (
 )
 
 // SeriesRecorder samples cluster-wide gauges at every preemption epoch
-// (EpochEnded) plus the event rates accumulated since the previous
+// (EvEpochEnded) plus the event rates accumulated since the previous
 // epoch, keyed by simulation time in seconds. Export with CSV (built on
 // metrics.Table) or summarize with Summary (percentiles via
 // metrics.Percentile).
 type SeriesRecorder struct {
-	sim.NopObserver
 	// PerNode adds node<k>-run / node<k>-wait columns for every node.
 	// Off by default: 50 nodes means 100 extra columns.
 	PerNode bool
@@ -62,49 +61,34 @@ func (s *SeriesRecorder) BeginRun(label string) {
 	s.degrades, s.sheds, s.violations = 0, 0, 0
 }
 
-// TaskPreempted implements sim.Observer.
-func (s *SeriesRecorder) TaskPreempted(units.Time, *sim.TaskState, *sim.TaskState, cluster.NodeID) {
-	s.preempts++
+// Observe implements sim.Observer: tally event rates, and sample the
+// cluster at EvEpochEnded, after the epoch's preemption actions were
+// applied.
+func (s *SeriesRecorder) Observe(e sim.Event) {
+	switch e.Kind {
+	case sim.EvTaskPreempted:
+		s.preempts++
+	case sim.EvDisorderDetected:
+		s.disorders++
+	case sim.EvTaskCompleted:
+		s.completed++
+	case sim.EvTaskRetried:
+		s.retries++
+	case sim.EvSpeculationLaunched:
+		s.specs++
+	case sim.EvSolverDegraded:
+		s.degrades++
+	case sim.EvJobShed:
+		s.sheds++
+	case sim.EvInvariantViolated:
+		s.violations++
+	case sim.EvEpochEnded:
+		s.sample(e.Now, e.View)
+	}
 }
 
-// DisorderDetected implements sim.Observer.
-func (s *SeriesRecorder) DisorderDetected(units.Time, *sim.TaskState, *sim.TaskState, cluster.NodeID) {
-	s.disorders++
-}
-
-// TaskCompleted implements sim.Observer.
-func (s *SeriesRecorder) TaskCompleted(units.Time, *sim.TaskState, cluster.NodeID) {
-	s.completed++
-}
-
-// TaskRetried implements sim.Observer.
-func (s *SeriesRecorder) TaskRetried(units.Time, *sim.TaskState, cluster.NodeID, int, sim.RetryReason) {
-	s.retries++
-}
-
-// SpeculationLaunched implements sim.Observer.
-func (s *SeriesRecorder) SpeculationLaunched(units.Time, *sim.TaskState, cluster.NodeID, cluster.NodeID) {
-	s.specs++
-}
-
-// SolverDegraded implements sim.Observer.
-func (s *SeriesRecorder) SolverDegraded(units.Time, sim.SolverDegradation) {
-	s.degrades++
-}
-
-// JobShed implements sim.Observer.
-func (s *SeriesRecorder) JobShed(units.Time, *sim.JobState, sim.ShedReason) {
-	s.sheds++
-}
-
-// InvariantViolated implements sim.Observer.
-func (s *SeriesRecorder) InvariantViolated(units.Time, sim.InvariantViolation) {
-	s.violations++
-}
-
-// EpochEnded implements sim.Observer: sample the cluster after the
-// epoch's preemption actions were applied.
-func (s *SeriesRecorder) EpochEnded(now units.Time, _ int, v *sim.View) {
+// sample records one epoch row and resets the rate accumulators.
+func (s *SeriesRecorder) sample(now units.Time, v *sim.View) {
 	c := v.Cluster()
 	run := s.currentRun(c)
 	t := run.table

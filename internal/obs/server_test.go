@@ -149,7 +149,7 @@ func TestServerEndpoints(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	wantLine := "dsp_task_completions " + strconv.FormatInt(ctr.TaskCompletions.Load(), 10)
+	wantLine := "dsp_task_completions " + strconv.FormatInt(ctr.Count(sim.EvTaskCompleted), 10)
 	if !strings.Contains(body, wantLine+"\n") {
 		t.Errorf("/metrics does not carry the live counter value %q", wantLine)
 	}
@@ -170,9 +170,9 @@ func TestServerEndpoints(t *testing.T) {
 	if snap.Schema != TelemetrySchema {
 		t.Errorf("snapshot schema = %q, want %q", snap.Schema, TelemetrySchema)
 	}
-	if snap.Counters["task-completions"] != ctr.TaskCompletions.Load() {
+	if snap.Counters["task-completions"] != ctr.Count(sim.EvTaskCompleted) {
 		t.Errorf("snapshot counter %d, registry %d",
-			snap.Counters["task-completions"], ctr.TaskCompletions.Load())
+			snap.Counters["task-completions"], ctr.Count(sim.EvTaskCompleted))
 	}
 	if snap.Attrib == nil || snap.Attrib.Jobs != res.JobsCompleted {
 		t.Errorf("snapshot attrib = %+v, want %d jobs", snap.Attrib, res.JobsCompleted)

@@ -167,7 +167,6 @@ func (d *DSP) epochNode(node cluster.NodeID, now units.Time, v *sim.View, calc *
 	clear(d.starterUsed)
 	victimUsed := d.victimUsed
 	starterUsed := d.starterUsed
-	obs := v.Observer()
 
 	dependsOn := func(a, b *sim.TaskState) bool {
 		return a.Job == b.Job && a.Job.Dag.DependsOn(a.Task.ID, b.Task.ID)
@@ -193,18 +192,16 @@ func (d *DSP) epochNode(node cluster.NodeID, now units.Time, v *sim.View, calc *
 					if avgGap <= 0 || diff/avgGap <= d.P.Rho {
 						// The gain does not cover the context-switch
 						// cost: the PP filter suppresses the preemption.
-						if obs != nil {
-							obs.PreemptionConsidered(now, sim.PreemptionDecision{
-								Node:              node,
-								Candidate:         starter,
-								Victim:            vc.t,
-								CandidatePriority: sp,
-								VictimPriority:    vc.pr,
-								Gain:              diff,
-								Overhead:          threshold,
-								Verdict:           sim.VerdictSuppressedByPP,
-							})
-						}
+						v.Emit(sim.Event{Kind: sim.EvPreemptionConsidered, Now: now, Decision: sim.PreemptionDecision{
+							Node:              node,
+							Candidate:         starter,
+							Victim:            vc.t,
+							CandidatePriority: sp,
+							VictimPriority:    vc.pr,
+							Gain:              diff,
+							Overhead:          threshold,
+							Verdict:           sim.VerdictSuppressedByPP,
+						}})
 						return false
 					}
 				}

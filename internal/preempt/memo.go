@@ -7,10 +7,11 @@ import (
 )
 
 // Memo is the epoch-persistent dependency-priority evaluator the DSP
-// preemptor uses in place of a fresh Calculator every epoch. It computes
-// exactly the same P_ij values as the recursive Calculator (the package
-// property tests assert bit-for-bit equality) but restructures the work
-// so the per-epoch cost is a flat, allocation-free array pass:
+// preemptor uses every epoch. It computes exactly the P_ij values a
+// direct recursion over Formula 12 would (the package property tests
+// assert bit-for-bit equality against such a recursive Calculator) but
+// restructures the work so the per-epoch cost is a flat,
+// allocation-free array pass:
 //
 //   - Per job it caches a reverse-topological task order (children before
 //     parents) keyed on the DAG topology (len(Tasks) — dynamic growth is

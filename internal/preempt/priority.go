@@ -6,84 +6,27 @@ import (
 	"dsp/internal/units"
 )
 
-// SpeedSource supplies node speeds to the priority calculator; sim.View
+// SpeedSource supplies node speeds to the priority evaluation; sim.View
 // implements it.
 type SpeedSource interface {
 	Speed(k cluster.NodeID) float64
 	Cluster() *cluster.Cluster
 }
 
-// Calculator computes the dependency-aware task priority of Section IV-A
-// with per-epoch memoization. For a task with dependents the priority is
-// recursive over its children (Formula 12):
+// The dependency-aware task priority of Section IV-A is recursive over
+// a task's live children (Formula 12):
 //
 //	P_ij = Σ_{T_ik ∈ S_ij} (γ+1) · P_ik
 //
-// and for a task with no dependents it is the weighted combination of
-// remaining time, waiting time and allowable waiting time (Formula 13):
+// and for a task with no live dependents it is the weighted combination
+// of remaining time, waiting time and allowable waiting time (Formula
+// 13), so a task whose completion unlocks many descendants —
+// particularly at higher DAG levels, amplified by (γ+1) per level —
+// outranks tasks with few or no dependents. Memo evaluates it.
 //
-//	P_ij = ω₁·(1/t^rem) + ω₂·t^w + ω₃·t^a
-//
-// so a task whose completion unlocks many descendants — particularly at
-// higher DAG levels, amplified by (γ+1) per level — outranks tasks with
-// few or no dependents.
-type Calculator struct {
-	P     Params
-	now   units.Time
-	view  SpeedSource
-	cache map[*sim.TaskState]float64
-}
-
-// NewCalculator builds a calculator for one epoch evaluation at time now.
-func NewCalculator(p Params, now units.Time, v SpeedSource) *Calculator {
-	return &Calculator{P: p, now: now, view: v, cache: make(map[*sim.TaskState]float64)}
-}
-
-// speedFor returns the execution speed used for a task's remaining-time
-// terms: its assigned node's speed, or the cluster mean for unassigned
-// tasks.
-func (c *Calculator) speedFor(t *sim.TaskState) float64 {
-	if t.Node >= 0 {
-		return c.view.Speed(t.Node)
-	}
-	return c.view.Cluster().MeanSpeed()
-}
-
-// Priority returns P at the calculator's evaluation time.
-func (c *Calculator) Priority(t *sim.TaskState) float64 {
-	if v, ok := c.cache[t]; ok {
-		return v
-	}
-	// DAGs are acyclic, so recursion terminates; diamond sharing is
-	// handled by the memo.
-	var p float64
-	liveChildren := 0
-	if !c.P.FlatPriority {
-		for _, ch := range t.Job.Dag.Children(t.Task.ID) {
-			cs := t.Job.Tasks[ch]
-			if cs.Phase == sim.Done {
-				continue
-			}
-			liveChildren++
-			p += (c.P.Gamma + 1) * c.Priority(cs)
-		}
-	}
-	if liveChildren == 0 {
-		p = c.leaf(t)
-	}
-	c.cache[t] = p
-	return p
-}
-
-// leaf evaluates Formula 13.
-func (c *Calculator) leaf(t *sim.TaskState) float64 {
-	return leafPriority(c.P, c.now, c.speedFor(t), t)
-}
-
-// leafPriority is Formula 13 — the priority of a task with no live
-// dependents: ω₁·(1/t^rem) + ω₂·t^w + ω₃·t^a. It is shared by the
-// reference Calculator and the epoch-persistent Memo so the two always
-// agree bit-for-bit.
+// leafPriority is Formula 13: ω₁·(1/t^rem) + ω₂·t^w + ω₃·t^a. It is
+// shared by Memo and the recursive reference Calculator in the package
+// tests, so the two always agree bit-for-bit.
 func leafPriority(p Params, now units.Time, speed float64, t *sim.TaskState) float64 {
 	rem := t.LiveRemainingTime(now, speed).Seconds()
 	if rem <= 0 {

@@ -13,14 +13,17 @@ import (
 // validator checks Algorithm 1's invariants on every preemption the
 // engine applies.
 type validator struct {
-	sim.NopObserver
 	t        *testing.T
 	epoch    units.Time
 	bad      int
 	preempts int
 }
 
-func (v *validator) TaskPreempted(now units.Time, victim, starter *sim.TaskState, node cluster.NodeID) {
+func (v *validator) Observe(e sim.Event) {
+	if e.Kind != sim.EvTaskPreempted {
+		return
+	}
+	now, victim, starter := e.Now, e.Task, e.Other
 	v.preempts++
 	if starter == nil {
 		v.bad++

@@ -245,7 +245,7 @@ func RunKilledAndRecover(o Options, killN int) (*RunArtifacts, error) {
 		af.Close()
 		return nil, err
 	}
-	chain.RecoveryStarted(st.Now, st.PeriodIndex)
+	chain.Observe(sim.Event{Kind: sim.EvRecoveryStarted, Now: st.Now, N: st.PeriodIndex})
 	res, err := er.Execute()
 	if err != nil {
 		af.Close()
@@ -340,6 +340,6 @@ func artifacts(o Options, res *sim.Result, events int, resumed bool, replayed in
 		Events:    events,
 		Resumed:   resumed,
 		Replayed:  replayed,
-		Snapshots: c.Snapshots.Load(),
+		Snapshots: c.Count(sim.EvSnapshotTaken),
 	}, nil
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"dsp/internal/cluster"
 	"dsp/internal/sim"
 	"dsp/internal/units"
 )
@@ -41,12 +40,10 @@ type AuditLog interface {
 // the un-persisted suffix, which recovery re-derives deterministically
 // from the previous generation.
 type Manager struct {
-	sim.NopObserver
-
 	dir    string
 	everyK int
 
-	// Peer, when non-nil, receives the Replayed event the moment a
+	// Peer, when non-nil, receives the EvReplayed event the moment a
 	// resumed run's roll-forward has verified the last surviving WAL
 	// record. Wire the run's observer chain here (the manager cannot be
 	// its own peer: it sits inside that chain).
@@ -96,7 +93,7 @@ func NewManager(dir string, everyK int) (*Manager, error) {
 // Resume loads the newest valid snapshot/WAL pair from dir and returns
 // the engine state to overlay plus a manager in verification mode. The
 // caller rebuilds the engine with sim.PrepareResume, emits
-// RecoveryStarted on its observer chain, and runs Execute; the manager
+// EvRecoveryStarted on its observer chain, and runs Execute; the manager
 // verifies every re-emitted decision against the log and switches back
 // to appending once the log is exhausted. ErrNoSnapshot means nothing
 // usable survives and the run should start fresh.
@@ -253,7 +250,7 @@ func (m *Manager) snapshot(e *sim.Engine) error {
 // finishReplay switches a resumed manager from verification back to
 // appending: the WAL is truncated to its valid prefix (dropping any
 // torn tail), the persister starts on it in append mode, and the
-// Replayed event is delivered to the peer observer.
+// EvReplayed event is delivered to the peer observer.
 func (m *Manager) finishReplay(now units.Time) error {
 	m.verifying = false
 	path := filepath.Join(m.dir, walName(m.seq))
@@ -278,7 +275,7 @@ func (m *Manager) finishReplay(now units.Time) error {
 	}
 	m.p = p
 	if m.Peer != nil {
-		m.Peer.Replayed(now, len(m.verify))
+		m.Peer.Observe(sim.Event{Kind: sim.EvReplayed, Now: now, N: len(m.verify)})
 	}
 	return nil
 }
@@ -527,58 +524,36 @@ func removeCheckpointFiles(dir string) error {
 	return nil
 }
 
-// Decision-event observer methods: the WAL record taxonomy. One record
+// Observe implements sim.Observer: the WAL record taxonomy. One record
 // per scheduling decision or externally visible task/job outcome —
 // dispatches, preemptions, completions, retries, terminal failures,
-// evictions and sheds. Payloads are deterministic single-line strings;
-// two runs of the same world produce identical sequences, which is
-// exactly what verification checks.
-
-// TaskStarted implements sim.Observer.
-func (m *Manager) TaskStarted(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	m.record(now, fmt.Sprintf("start t=%d task=%s node=%d", int64(now), t.Key(), int(node)))
-}
-
-// TaskPreempted implements sim.Observer.
-func (m *Manager) TaskPreempted(now units.Time, victim, starter *sim.TaskState, node cluster.NodeID) {
-	skey := "-"
-	if starter != nil {
-		skey = starter.Key().String()
+// evictions, sheds and cancellations. Payloads are deterministic
+// single-line strings; two runs of the same world produce identical
+// sequences, which is exactly what verification checks.
+func (m *Manager) Observe(e sim.Event) {
+	now := int64(e.Now)
+	switch e.Kind {
+	case sim.EvTaskStarted:
+		m.record(e.Now, fmt.Sprintf("start t=%d task=%s node=%d", now, e.Task.Key(), int(e.Node)))
+	case sim.EvTaskPreempted:
+		skey := "-"
+		if e.Other != nil {
+			skey = e.Other.Key().String()
+		}
+		m.record(e.Now, fmt.Sprintf("preempt t=%d victim=%s starter=%s node=%d", now, e.Task.Key(), skey, int(e.Node)))
+	case sim.EvTaskCompleted:
+		m.record(e.Now, fmt.Sprintf("complete t=%d task=%s node=%d", now, e.Task.Key(), int(e.Node)))
+	case sim.EvJobCompleted:
+		m.record(e.Now, fmt.Sprintf("job-complete t=%d job=%d", now, int(e.Job.Dag.ID)))
+	case sim.EvTaskRetried:
+		m.record(e.Now, fmt.Sprintf("retry t=%d task=%s node=%d attempt=%d reason=%s", now, e.Task.Key(), int(e.Node), e.N, e.Retry))
+	case sim.EvTaskFailedTerminally:
+		m.record(e.Now, fmt.Sprintf("terminal t=%d task=%s node=%d", now, e.Task.Key(), int(e.Node)))
+	case sim.EvTaskEvicted:
+		m.record(e.Now, fmt.Sprintf("evict t=%d task=%s node=%d", now, e.Task.Key(), int(e.Node)))
+	case sim.EvJobShed:
+		m.record(e.Now, fmt.Sprintf("shed t=%d job=%d reason=%s", now, int(e.Job.Dag.ID), e.Shed))
+	case sim.EvJobCancelled:
+		m.record(e.Now, fmt.Sprintf("cancel t=%d job=%d", now, int(e.Job.ID())))
 	}
-	m.record(now, fmt.Sprintf("preempt t=%d victim=%s starter=%s node=%d", int64(now), victim.Key(), skey, int(node)))
-}
-
-// TaskCompleted implements sim.Observer.
-func (m *Manager) TaskCompleted(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	m.record(now, fmt.Sprintf("complete t=%d task=%s node=%d", int64(now), t.Key(), int(node)))
-}
-
-// JobCompleted implements sim.Observer.
-func (m *Manager) JobCompleted(now units.Time, j *sim.JobState) {
-	m.record(now, fmt.Sprintf("job-complete t=%d job=%d", int64(now), int(j.Dag.ID)))
-}
-
-// TaskRetried implements sim.Observer.
-func (m *Manager) TaskRetried(now units.Time, t *sim.TaskState, node cluster.NodeID, attempt int, reason sim.RetryReason) {
-	m.record(now, fmt.Sprintf("retry t=%d task=%s node=%d attempt=%d reason=%s", int64(now), t.Key(), int(node), attempt, reason))
-}
-
-// TaskFailedTerminally implements sim.Observer.
-func (m *Manager) TaskFailedTerminally(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	m.record(now, fmt.Sprintf("terminal t=%d task=%s node=%d", int64(now), t.Key(), int(node)))
-}
-
-// TaskEvicted implements sim.Observer.
-func (m *Manager) TaskEvicted(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	m.record(now, fmt.Sprintf("evict t=%d task=%s node=%d", int64(now), t.Key(), int(node)))
-}
-
-// JobShed implements sim.Observer.
-func (m *Manager) JobShed(now units.Time, j *sim.JobState, reason sim.ShedReason) {
-	m.record(now, fmt.Sprintf("shed t=%d job=%d reason=%s", int64(now), int(j.Dag.ID), reason))
-}
-
-// JobCancelled implements sim.Observer.
-func (m *Manager) JobCancelled(now units.Time, j *sim.JobState) {
-	m.record(now, fmt.Sprintf("cancel t=%d job=%d", int64(now), int(j.ID())))
 }

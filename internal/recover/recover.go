@@ -12,7 +12,7 @@
 // recovery locates the exact crash point and any nondeterminism
 // regression surfaces as a typed DivergenceError instead of silent
 // state drift. When the log is exhausted the run has provably reached
-// the crash point, the Replayed event fires, and the log switches back
+// the crash point, the EvReplayed event fires, and the log switches back
 // to append mode for the remainder of the run.
 //
 // File layout in the checkpoint directory (seq is a generation counter,

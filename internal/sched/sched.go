@@ -60,7 +60,7 @@ type DSP struct {
 	// ILPNodeBudget caps branch-and-bound nodes per exact solve
 	// (0 = DefaultILPNodeBudget). When the budget runs out, the solve is
 	// anytime: the best incumbent found is still used and the downgrade
-	// is reported as a SolverDegraded event.
+	// is reported as an EvSolverDegraded event.
 	ILPNodeBudget int
 	// ILPPivotBudget optionally caps total simplex pivots per exact
 	// solve (0 = no extra cap beyond the per-LP default), bounding worst
@@ -139,7 +139,7 @@ func (d *DSP) Name() string {
 // Schedule implements sim.Scheduler. It walks the degradation ladder:
 // exact ILP → anytime ILP incumbent → list engine → FIFO. Each rung is
 // tried only when its preconditions hold, and every downgrade is
-// reported through the view as a SolverDegraded event so overload
+// reported through the view as an EvSolverDegraded event so overload
 // behaviour is visible in metrics and traces.
 func (d *DSP) Schedule(now units.Time, pending []*sim.JobState, v *sim.View) []sim.Assignment {
 	nTasks := 0

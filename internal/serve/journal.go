@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -60,13 +60,19 @@ func createJournal(dir string) (*journal, error) {
 	return &journal{f: f}, nil
 }
 
-// openJournal opens an existing journal for appending (resume). A
-// missing file is fine — the daemon was killed before the first
-// accepted submission.
-func openJournal(dir string) (*journal, error) {
+// openJournal opens an existing journal for appending (resume), first
+// truncating it to validLen, the valid prefix readJournal reported: a
+// torn tail left in place would glue itself onto the next entry and
+// corrupt it. A missing file is fine — the daemon was killed before the
+// first accepted submission.
+func openJournal(dir string, validLen int64) (*journal, error) {
 	f, err := os.OpenFile(journalPath(dir), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("serve: open journal: %w", err)
+	}
+	if err := f.Truncate(validLen); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("serve: truncate journal: %w", err)
 	}
 	return &journal{f: f}, nil
 }
@@ -97,42 +103,39 @@ func (j *journal) Close() error {
 }
 
 // readJournal loads every complete entry from dir's journal, in append
-// order. A torn final line — the process was killed mid-append, before
-// the fsync that would have acknowledged it — is dropped; any earlier
-// malformed line is corruption and an error. A missing file yields an
-// empty log.
-func readJournal(dir string) ([]journalEntry, error) {
-	f, err := os.Open(journalPath(dir))
+// order, and the byte length of the valid prefix they span (what
+// openJournal truncates to before appending). A torn final line — the
+// process was killed mid-append, before the fsync that would have
+// acknowledged it — is dropped, whether it lacks its newline or does not
+// decode; any earlier malformed line is corruption and an error. A
+// missing file yields an empty log.
+func readJournal(dir string) (entries []journalEntry, validLen int64, err error) {
+	b, err := os.ReadFile(journalPath(dir))
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("serve: read journal: %w", err)
+		return nil, 0, fmt.Errorf("serve: read journal: %w", err)
 	}
-	defer f.Close()
-	var entries []journalEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	torn := false
-	for sc.Scan() {
-		if torn {
-			return nil, fmt.Errorf("serve: journal corrupt: undecodable entry %d is not the final line", len(entries))
+	for len(b) > int(validLen) {
+		rest := b[validLen:]
+		nl := bytes.IndexByte(rest, '\n')
+		if nl < 0 {
+			break // unterminated: a torn final line
 		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		if line := rest[:nl]; len(line) > 0 {
+			var e journalEntry
+			if json.Unmarshal(line, &e) != nil {
+				if int(validLen)+nl+1 < len(b) {
+					return nil, 0, fmt.Errorf("serve: journal corrupt: undecodable entry %d is not the final line", len(entries))
+				}
+				break // a torn final line
+			}
+			entries = append(entries, e)
 		}
-		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			torn = true // acceptable only if nothing follows
-			continue
-		}
-		entries = append(entries, e)
+		validLen += int64(nl) + 1
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("serve: read journal: %w", err)
-	}
-	return entries, nil
+	return entries, validLen, nil
 }
 
 // decodeSubmission rebuilds the trace.Job of a submit entry.

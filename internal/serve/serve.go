@@ -266,7 +266,7 @@ func (d *Daemon) buildEngine(simCfg sim.Config) error {
 // snapshot exists (killed before the first one), the whole journal
 // replays into a fresh engine — the journal alone is sufficient.
 func (d *Daemon) resumeEngine(simCfg sim.Config) error {
-	entries, err := readJournal(d.cfg.CheckpointDir)
+	entries, journalLen, err := readJournal(d.cfg.CheckpointDir)
 	if err != nil {
 		return err
 	}
@@ -311,7 +311,7 @@ func (d *Daemon) resumeEngine(simCfg sim.Config) error {
 			return err
 		}
 		d.virtStart = st.Now
-		chain.RecoveryStarted(st.Now, st.PeriodIndex)
+		chain.Observe(sim.Event{Kind: sim.EvRecoveryStarted, Now: st.Now, N: st.PeriodIndex})
 	} else {
 		if eng, err = sim.Prepare(simCfg, &trace.Workload{}); err != nil {
 			return err
@@ -336,7 +336,7 @@ func (d *Daemon) resumeEngine(simCfg sim.Config) error {
 			return fmt.Errorf("serve: journal entry %d: unknown op %q", applied+i, e.Op)
 		}
 	}
-	if jl, err := openJournal(d.cfg.CheckpointDir); err != nil {
+	if jl, err := openJournal(d.cfg.CheckpointDir, journalLen); err != nil {
 		return err
 	} else {
 		d.jl = jl

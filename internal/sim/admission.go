@@ -79,7 +79,7 @@ func (e *Engine) admitJob(j *JobState, now units.Time) {
 
 // shedJob rejects a job at admission: it never runs, its tasks are
 // terminally parked, and jobs waiting on it — which can now never become
-// eligible — are shed with it. eventAt is the timestamp the JobShed
+// eligible — are shed with it. eventAt is the timestamp the EvJobShed
 // observer event carries: the arrival stamp of the job whose admission
 // decision triggered the shed. In batch mode the decision runs inside
 // the arrival event, so eventAt equals the decision time; under
@@ -100,9 +100,7 @@ func (e *Engine) shedJob(j *JobState, eventAt units.Time, reason ShedReason) {
 	for _, t := range j.Tasks {
 		t.Phase = Failed
 	}
-	if o := e.cfg.Observer; o != nil {
-		o.JobShed(eventAt, j, reason)
-	}
+	e.emit(Event{Kind: EvJobShed, Now: eventAt, Job: j, Shed: reason})
 	for _, other := range e.jobs {
 		if other.failed || other.shed || other.Done() {
 			continue

@@ -10,14 +10,15 @@ import (
 
 // shedRecorder captures every JobShed event with its reason.
 type shedRecorder struct {
-	NopObserver
 	shed map[dag.JobID]ShedReason
 }
 
 func newShedRecorder() *shedRecorder { return &shedRecorder{shed: map[dag.JobID]ShedReason{}} }
 
-func (r *shedRecorder) JobShed(_ units.Time, j *JobState, reason ShedReason) {
-	r.shed[j.Dag.ID] = reason
+func (r *shedRecorder) Observe(e Event) {
+	if e.Kind == EvJobShed {
+		r.shed[e.Job.Dag.ID] = e.Shed
+	}
 }
 
 func TestAdmissionQueueBoundSheds(t *testing.T) {

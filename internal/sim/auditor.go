@@ -14,7 +14,7 @@ import (
 // a violation, quarantines the offending node or task — the run degrades
 // to fewer resources or a failed job instead of silently computing
 // garbage. Every detection is counted in Result.InvariantViolations and
-// emitted as an InvariantViolated observer event.
+// emitted as an EvInvariantViolated observer event.
 
 // auditInvariants re-checks engine state and quarantines offenders.
 func (e *Engine) auditInvariants(now units.Time) {
@@ -122,9 +122,7 @@ func (e *Engine) auditInvariants(now units.Time) {
 // violate records one detection.
 func (e *Engine) violate(now units.Time, v InvariantViolation) {
 	e.metrics.InvariantViolations++
-	if o := e.cfg.Observer; o != nil {
-		o.InvariantViolated(now, v)
-	}
+	e.emit(Event{Kind: EvInvariantViolated, Now: now, Violation: v})
 }
 
 // quarantineNode takes a node whose bookkeeping cannot be trusted out of

@@ -44,7 +44,7 @@ var ErrInterrupted = errors.New("sim: interrupted")
 // write-ahead log without the engine importing it.
 type DurabilitySink interface {
 	// SnapshotDue reports whether OnPeriod will capture a snapshot for
-	// this period; the engine uses it to emit the SnapshotTaken observer
+	// this period; the engine uses it to emit the EvSnapshotTaken observer
 	// event (and hence the audit line) before the sink records the audit
 	// offset inside the snapshot.
 	SnapshotDue(period int) bool

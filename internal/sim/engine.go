@@ -176,7 +176,7 @@ type Engine struct {
 	// dominated the period tick's allocation profile.
 	pendingBuf []*JobState
 	// epochIndex numbers online preemption epochs from 1, for the
-	// EpochStarted/EpochEnded observer events.
+	// EvEpochStarted/EvEpochEnded observer events.
 	epochIndex int
 	// periodIndex numbers offline scheduling periods from 1; the
 	// durability sink keys its snapshot cadence on it.
@@ -530,7 +530,7 @@ func (e *Engine) periodTick(now units.Time) {
 	tm := e.cfg.Prof
 	if e.cfg.Streaming {
 		// Pull submitted jobs whose stamps have been reached into the
-		// world (admission decides at the boundary, but JobShed events
+		// world (admission decides at the boundary, but EvJobShed events
 		// carry the arrival stamp), then release the state of jobs that
 		// settled since the previous boundary.
 		e.drainIngest(now)
@@ -565,11 +565,11 @@ func (e *Engine) periodTick(now units.Time) {
 	}
 	if d := e.cfg.Durability; d != nil {
 		tm.Enter(prof.PhaseSnapshot)
-		if d.SnapshotDue(e.periodIndex) && e.cfg.Observer != nil {
+		if d.SnapshotDue(e.periodIndex) {
 			// The audit line for the snapshot event must precede the offset
 			// the snapshot records, so a resumed run's truncated audit
 			// already contains it — emit before the sink captures state.
-			e.cfg.Observer.SnapshotTaken(now, e.periodIndex)
+			e.emit(Event{Kind: EvSnapshotTaken, Now: now, N: e.periodIndex})
 		}
 		if err := d.OnPeriod(e, e.periodIndex, now); err != nil && e.durErr == nil {
 			e.durErr = err
@@ -681,9 +681,7 @@ func (e *Engine) start(k cluster.NodeID, t *TaskState, now units.Time) {
 		}
 		e.metrics.taskWaitSamples++
 	}
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.TaskStarted(now, t, k)
-	}
+	e.emit(Event{Kind: EvTaskStarted, Now: now, Task: t, Node: k})
 	if !t.DepsMet() {
 		t.blocked = true
 		t.effStart = now // occupancy start, for blocked-time accounting
@@ -749,9 +747,7 @@ func (e *Engine) kickBlocked(k cluster.NodeID, t *TaskState, now units.Time) {
 	// else first.
 	t.PlannedStart = now + e.cfg.Period
 	e.enqueue(k, t)
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.TaskRequeued(now, t, k, RequeueBlindTimeout)
-	}
+	e.emit(Event{Kind: EvTaskRequeued, Now: now, Task: t, Node: k, Requeue: RequeueBlindTimeout})
 	e.tryFill(k, now)
 }
 
@@ -836,9 +832,7 @@ func (e *Engine) finish(k cluster.NodeID, t *TaskState, now units.Time) {
 	t.DoneAt = now
 	t.doneMI = t.Task.Size
 	e.metrics.TasksCompleted++
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.TaskCompleted(now, t, k)
-	}
+	e.emit(Event{Kind: EvTaskCompleted, Now: now, Task: t, Node: k})
 	if t.Deadline != units.Forever && now > t.Deadline {
 		e.metrics.TaskDeadlineMisses++
 	}
@@ -886,9 +880,7 @@ func (e *Engine) finish(k cluster.NodeID, t *TaskState, now units.Time) {
 			e.metrics.totalJobQueueWait += rec.AvgTaskQueueWait
 			e.metrics.Jobs = append(e.metrics.Jobs, rec)
 		}
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.JobCompleted(now, j)
-		}
+		e.emit(Event{Kind: EvJobCompleted, Now: now, Job: j})
 	}
 	if now > e.lastDone {
 		e.lastDone = now
@@ -919,9 +911,7 @@ func (e *Engine) finish(k cluster.NodeID, t *TaskState, now units.Time) {
 // epochTick runs the online preemption policy and re-arms itself.
 func (e *Engine) epochTick(now units.Time) {
 	e.epochIndex++
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.EpochStarted(now, e.epochIndex)
-	}
+	e.emit(Event{Kind: EvEpochStarted, Now: now, N: e.epochIndex})
 	tm := e.cfg.Prof
 	tm.Enter(prof.PhaseEpochPolicy)
 	actions := e.cfg.Preemptor.Epoch(now, e.view)
@@ -939,9 +929,7 @@ func (e *Engine) epochTick(now units.Time) {
 		e.auditInvariants(now)
 		tm.Exit()
 	}
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.EpochEnded(now, e.epochIndex, e.view)
-	}
+	e.emit(Event{Kind: EvEpochEnded, Now: now, N: e.epochIndex, View: e.view})
 	if e.jobsRemaining > 0 || e.streamingLive() {
 		e.q.AfterTag(e.cfg.Epoch, eventq.Tag{Kind: evEpochTick}, eventq.Func(e.epochTick))
 	}
@@ -966,26 +954,22 @@ func (e *Engine) applyAction(a Action, now units.Time) {
 	}
 	if !a.Starter.DepsMet() {
 		e.metrics.Disorders++
-		if o := e.cfg.Observer; o != nil {
-			o.PreemptionConsidered(now, decisionOf(a, VerdictDisorder))
-			o.DisorderDetected(now, a.Starter, a.Victim, a.Node)
-		}
+		e.emit(Event{Kind: EvPreemptionConsidered, Now: now, Decision: decisionOf(a, VerdictDisorder)})
+		e.emit(Event{Kind: EvDisorderDetected, Now: now, Task: a.Starter, Other: a.Victim, Node: a.Node})
 		return
 	}
 	e.suspend(a.Node, a.Victim, now)
-	if o := e.cfg.Observer; o != nil {
-		verdict := VerdictAccepted
-		if a.Urgent {
-			verdict = VerdictUrgentOverride
-		}
-		o.PreemptionConsidered(now, decisionOf(a, verdict))
-		o.TaskPreempted(now, a.Victim, a.Starter, a.Node)
+	verdict := VerdictAccepted
+	if a.Urgent {
+		verdict = VerdictUrgentOverride
 	}
+	e.emit(Event{Kind: EvPreemptionConsidered, Now: now, Decision: decisionOf(a, verdict)})
+	e.emit(Event{Kind: EvTaskPreempted, Now: now, Task: a.Victim, Other: a.Starter, Node: a.Node})
 	e.start(a.Node, a.Starter, now)
 }
 
 // decisionOf renders an applied (or refused) action as the decision
-// record its PreemptionConsidered event carries.
+// record its EvPreemptionConsidered event carries.
 func decisionOf(a Action, verdict Verdict) PreemptionDecision {
 	return PreemptionDecision{
 		Node:              a.Node,

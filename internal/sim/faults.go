@@ -176,9 +176,7 @@ func (e *Engine) failNode(k cluster.NodeID, now units.Time) {
 	e.metrics.Failures++
 	speed := e.speedOf(k)
 	ns.down = true
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.NodeFailed(now, k)
-	}
+	e.emit(Event{Kind: EvNodeFailed, Now: now, Node: k})
 	e.addPenalty(k, 1, now)
 
 	spec := append([]*backupRun(nil), ns.spec...)
@@ -223,9 +221,7 @@ func (e *Engine) failNode(k cluster.NodeID, now units.Time) {
 		t.resumePenalty = e.cfg.Checkpoint.ResumePenalty()
 		t.attemptFailAt = 0
 		e.metrics.FailureEvictions++
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.TaskEvicted(now, t, k)
-		}
+		e.emit(Event{Kind: EvTaskEvicted, Now: now, Task: t, Node: k})
 		e.retryOrFail(k, t, now, RetryCrashEviction)
 	}
 	queued := append([]*TaskState(nil), ns.queue...)
@@ -246,9 +242,7 @@ func (e *Engine) evictToPending(t *TaskState, k cluster.NodeID, now units.Time) 
 	t.Node = -1
 	t.Job.assigned--
 	e.metrics.FailureEvictions++
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.TaskEvicted(now, t, k)
-	}
+	e.emit(Event{Kind: EvTaskEvicted, Now: now, Task: t, Node: k})
 }
 
 // recoverNode brings a failed node back into service.
@@ -258,9 +252,7 @@ func (e *Engine) recoverNode(k cluster.NodeID, now units.Time) {
 		return
 	}
 	ns.down = false
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.NodeRecovered(now, k)
-	}
+	e.emit(Event{Kind: EvNodeRecovered, Now: now, Node: k})
 	e.tryFill(k, now)
 }
 

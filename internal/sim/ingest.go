@@ -25,7 +25,7 @@ import (
 // events — so a job's shed-or-admit decision always lands before the
 // same tick's plan-build. An armed event would fire after periodTick
 // returned and let the scheduler place a job that admission was about
-// to shed. The JobShed observer event still carries the job's arrival
+// to shed. The EvJobShed observer event still carries the job's arrival
 // stamp (not the boundary time), keeping the audit stream aligned with
 // wall-clock ingestion.
 //
@@ -323,7 +323,7 @@ func (e *Engine) applyCancel(id dag.JobID, now units.Time) {
 
 // cancelJob withdraws a live job: for accounting it fails — every live
 // task is pulled back exactly as a terminal failure would, dependents
-// cascade — with the cancelled flag and the JobCancelled event
+// cascade — with the cancelled flag and the EvJobCancelled event
 // recording that the user, not a fault, was the cause.
 func (e *Engine) cancelJob(js *JobState, now units.Time) {
 	if js.failed || js.shed || js.Done() {
@@ -331,9 +331,7 @@ func (e *Engine) cancelJob(js *JobState, now units.Time) {
 	}
 	js.cancelled = true
 	e.metrics.JobsCancelled++
-	if o := e.cfg.Observer; o != nil {
-		o.JobCancelled(now, js)
-	}
+	e.emit(Event{Kind: EvJobCancelled, Now: now, Job: js})
 	e.failJob(js, now)
 }
 

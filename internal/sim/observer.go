@@ -2,14 +2,13 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"dsp/internal/cluster"
 	"dsp/internal/units"
 )
 
 // Verdict classifies the outcome of one preemption decision — the
-// reasoning behind Algorithm 1 that a PreemptionConsidered event makes
+// reasoning behind Algorithm 1 that an EvPreemptionConsidered event makes
 // visible.
 type Verdict uint8
 
@@ -211,578 +210,201 @@ type InvariantViolation struct {
 	Detail string
 }
 
-// Observer receives simulation lifecycle and decision events; attach one
-// via Config.Observer to trace a run (debugging, visualization, custom
-// metrics, audit logs). All callbacks run synchronously inside the event
-// loop — keep them cheap and do not mutate simulator state. Embed
-// NopObserver to implement only the events you care about.
-type Observer interface {
-	// TaskStarted fires when a task occupies a slot (including resume
-	// after preemption and blind starts of blocked tasks).
-	TaskStarted(now units.Time, t *TaskState, node cluster.NodeID)
-	// TaskPreempted fires when a running task is suspended.
-	TaskPreempted(now units.Time, victim, starter *TaskState, node cluster.NodeID)
-	// TaskCompleted fires when a task finishes.
-	TaskCompleted(now units.Time, t *TaskState, node cluster.NodeID)
-	// JobCompleted fires when a job's last task finishes.
-	JobCompleted(now units.Time, j *JobState)
-	// EpochStarted fires before the online preemption policy runs;
-	// epochs count from 1.
-	EpochStarted(now units.Time, epoch int)
-	// EpochEnded fires after the epoch's actions were applied and free
-	// slots refilled. The view is valid only for the duration of the
-	// callback and gives read access for per-epoch sampling (queue
-	// depths, busy slots, …).
-	EpochEnded(now units.Time, epoch int, v *View)
-	// PreemptionConsidered fires for every preemption decision with a
-	// definite outcome: accepted, urgent-override and disorder verdicts
+// EventKind names one kind of simulation event; an Event's Kind says
+// which of its payload fields are set.
+type EventKind uint8
+
+// Event kinds. Each comment lists the payload fields the kind carries
+// besides Kind and Now.
+const (
+	// EvTaskStarted: Task occupies a slot on Node (including resume after
+	// preemption and blind starts of blocked tasks).
+	EvTaskStarted EventKind = iota
+	// EvTaskPreempted: running Task is suspended on Node; Other is the
+	// starter that takes the slot.
+	EvTaskPreempted
+	// EvTaskCompleted: Task finished on Node.
+	EvTaskCompleted
+	// EvJobCompleted: Job's last task finished.
+	EvJobCompleted
+	// EvEpochStarted: the online preemption policy is about to run epoch
+	// N (epochs count from 1).
+	EvEpochStarted
+	// EvEpochEnded: epoch N's actions were applied and free slots
+	// refilled. View is valid only for the duration of the call and gives
+	// read access for per-epoch sampling (queue depths, busy slots, …).
+	EvEpochEnded
+	// EvPreemptionConsidered: one preemption decision with a definite
+	// outcome (Decision). Accepted, urgent-override and disorder verdicts
 	// come from the engine as actions are applied; suppressed-by-PP
 	// verdicts come from the DSP policy as it evaluates the filter.
-	PreemptionConsidered(now units.Time, d PreemptionDecision)
-	// DisorderDetected fires when a policy ordered a starter whose
-	// precedents have not finished (alongside the disorder-verdict
-	// PreemptionConsidered event).
-	DisorderDetected(now units.Time, starter, victim *TaskState, node cluster.NodeID)
-	// NodeFailed and NodeRecovered fire on injected fault-plan events.
-	NodeFailed(now units.Time, node cluster.NodeID)
-	NodeRecovered(now units.Time, node cluster.NodeID)
-	// TaskEvicted fires for every task (running or queued) a node crash
-	// threw back into the pending pool; node is where it was evicted from.
-	TaskEvicted(now units.Time, t *TaskState, node cluster.NodeID)
-	// TaskRequeued fires when a task re-enters its node queue outside the
-	// preemption path (see RequeueReason).
-	TaskRequeued(now units.Time, t *TaskState, node cluster.NodeID, reason RequeueReason)
-	// TaskRetried fires when a failed execution attempt is charged
-	// against the task's retry budget and the task is re-admitted
-	// (directly to Pending, or to Backoff first); attempt counts failed
-	// attempts so far and node is where the attempt died.
-	TaskRetried(now units.Time, t *TaskState, node cluster.NodeID, attempt int, reason RetryReason)
-	// TaskFailedTerminally fires when a task exhausts its retry budget;
+	EvPreemptionConsidered
+	// EvDisorderDetected: a policy ordered starter Task, whose precedents
+	// have not finished, onto Node over victim Other (alongside the
+	// disorder-verdict EvPreemptionConsidered).
+	EvDisorderDetected
+	// EvNodeFailed and EvNodeRecovered: injected fault-plan events on
+	// Node.
+	EvNodeFailed
+	EvNodeRecovered
+	// EvTaskEvicted: a node crash threw Task (running or queued) back
+	// into the pending pool; Node is where it was evicted from.
+	EvTaskEvicted
+	// EvTaskRequeued: Task re-entered Node's queue outside the preemption
+	// path, for RequeueReason.
+	EvTaskRequeued
+	// EvTaskRetried: a failed attempt of Task on Node was charged against
+	// its retry budget for RetryReason and the task re-admitted (directly
+	// to Pending, or to Backoff first); N counts failed attempts so far.
+	EvTaskRetried
+	// EvTaskFailedTerminally: Task exhausted its retry budget on Node;
 	// its job (and any job transitively waiting on it) fails with it.
-	TaskFailedTerminally(now units.Time, t *TaskState, node cluster.NodeID)
-	// SpeculationLaunched fires when a backup copy of a straggling task
-	// starts on an idle slot; primary is where the original runs.
-	SpeculationLaunched(now units.Time, t *TaskState, primary, backup cluster.NodeID)
-	// SpeculationWon fires when the backup copy finishes first; the
-	// primary attempt on loser is cancelled.
-	SpeculationWon(now units.Time, t *TaskState, winner, loser cluster.NodeID)
-	// SpeculationCancelled fires when a backup copy is abandoned (the
-	// primary finished first, its node crashed, or the job failed).
-	SpeculationCancelled(now units.Time, t *TaskState, backup cluster.NodeID)
-	// NodeBlacklisted fires when a node's decayed failure penalty crosses
-	// the blacklist threshold (rising edge only).
-	NodeBlacklisted(now units.Time, node cluster.NodeID)
-	// SolverDegraded fires when the offline scheduler falls down its
-	// degradation ladder (exact ILP → anytime incumbent → list → FIFO)
-	// instead of placing work with the tier it attempted.
-	SolverDegraded(now units.Time, d SolverDegradation)
-	// JobShed fires when admission control rejects a job at arrival; the
-	// job counts as shed, not failed or deadline-missed. now is the job's
-	// arrival (ingestion) timestamp — under streaming ingestion the
-	// decision is evaluated at the period boundary that drained the job,
-	// but the event carries the arrival instant so audit streams and
-	// blame attribution line up with wall-clock ingestion.
-	JobShed(now units.Time, j *JobState, reason ShedReason)
-	// JobCancelled fires when an explicit cancel request (streaming
-	// ingestion) withdraws a live job. The job's remaining tasks are
-	// withdrawn as by a terminal failure, and jobs waiting on it fail
-	// with it; for accounting the job counts under JobsFailed, with
-	// Result.JobsCancelled recording the cause.
-	JobCancelled(now units.Time, j *JobState)
-	// InvariantViolated fires when the runtime auditor catches the engine
-	// in an inconsistent state; the offending node or task is quarantined
-	// rather than allowed to keep computing garbage.
-	InvariantViolated(now units.Time, v InvariantViolation)
-	// TaskSpanClosed fires when one span of a task's timeline closes
-	// (see TaskSpan). For every task of a completed job the spans are
+	EvTaskFailedTerminally
+	// EvSpeculationLaunched: a backup copy of straggling Task started on
+	// Peer; Node is where the original runs.
+	EvSpeculationLaunched
+	// EvSpeculationWon: Task's backup copy on Node finished first; the
+	// primary attempt on Peer is cancelled.
+	EvSpeculationWon
+	// EvSpeculationCancelled: Task's backup copy on Node was abandoned
+	// (the primary finished first, its node crashed, or the job failed).
+	EvSpeculationCancelled
+	// EvNodeBlacklisted: Node's decayed failure penalty crossed the
+	// blacklist threshold (rising edge only).
+	EvNodeBlacklisted
+	// EvSolverDegraded: the offline scheduler fell down its degradation
+	// ladder (Degradation).
+	EvSolverDegraded
+	// EvJobShed: admission control rejected Job for ShedReason; it counts
+	// as shed, not failed or deadline-missed. Now is the job's arrival
+	// (ingestion) timestamp — under streaming ingestion the decision is
+	// evaluated at the period boundary that drained the job, but the
+	// event carries the arrival instant so audit streams and blame
+	// attribution line up with wall-clock ingestion.
+	EvJobShed
+	// EvJobCancelled: an explicit cancel request (streaming ingestion)
+	// withdrew live Job. Its remaining tasks are withdrawn as by a
+	// terminal failure, and jobs waiting on it fail with it; for
+	// accounting it counts under JobsFailed, with Result.JobsCancelled
+	// recording the cause.
+	EvJobCancelled
+	// EvInvariantViolated: the runtime auditor caught the engine in an
+	// inconsistent state (Violation); the offending node or task is
+	// quarantined rather than allowed to keep computing garbage.
+	EvInvariantViolated
+	// EvTaskSpanClosed: one span of a task's timeline closed (Span; Now
+	// is Span.End). For every task of a completed job the spans are
 	// gapless and non-overlapping over [job arrival, task completion];
 	// the attribution layer relies on this tiling.
-	TaskSpanClosed(s TaskSpan)
-	// SnapshotTaken fires just before the durability sink captures a
-	// periodic crash-recovery snapshot at the end of a scheduling period
+	EvTaskSpanClosed
+	// EvSnapshotTaken: the durability sink is about to capture the
+	// periodic crash-recovery snapshot at the end of scheduling period N
 	// (see Config.Durability); periods count from 1.
-	SnapshotTaken(now units.Time, period int)
-	// RecoveryStarted fires once on a resumed run, before the
-	// deterministic roll-forward from the restored snapshot begins;
-	// period is the snapshot's scheduling period.
-	RecoveryStarted(now units.Time, period int)
-	// Replayed fires on a resumed run when the roll-forward has verified
-	// every surviving write-ahead-log record — the run has reached the
-	// crash point and switches the log back to append mode.
-	Replayed(now units.Time, records int)
+	EvSnapshotTaken
+	// EvRecoveryStarted: a resumed run is about to roll forward from the
+	// snapshot of scheduling period N.
+	EvRecoveryStarted
+	// EvReplayed: a resumed run's roll-forward verified all N surviving
+	// write-ahead-log records — the run has reached the crash point and
+	// switches the log back to append mode.
+	EvReplayed
+
+	// NumEventKinds is the number of event kinds.
+	NumEventKinds = int(iota)
+)
+
+// eventKindNames are the kinds' tally names, as obs.Counters reports
+// them.
+var eventKindNames = [NumEventKinds]string{
+	EvTaskStarted:          "task-starts",
+	EvTaskPreempted:        "task-preemptions",
+	EvTaskCompleted:        "task-completions",
+	EvJobCompleted:         "job-completions",
+	EvEpochStarted:         "epochs",
+	EvEpochEnded:           "epochs-ended",
+	EvPreemptionConsidered: "decisions-considered",
+	EvDisorderDetected:     "disorders-detected",
+	EvNodeFailed:           "node-failures",
+	EvNodeRecovered:        "node-recoveries",
+	EvTaskEvicted:          "task-evictions",
+	EvTaskRequeued:         "task-requeues",
+	EvTaskRetried:          "task-retries",
+	EvTaskFailedTerminally: "task-terminal-failures",
+	EvSpeculationLaunched:  "speculations-launched",
+	EvSpeculationWon:       "speculations-won",
+	EvSpeculationCancelled: "speculations-cancelled",
+	EvNodeBlacklisted:      "node-blacklistings",
+	EvSolverDegraded:       "solver-degradations",
+	EvJobShed:              "jobs-shed",
+	EvJobCancelled:         "job-cancellations",
+	EvInvariantViolated:    "invariant-violations",
+	EvTaskSpanClosed:       "task-spans-closed",
+	EvSnapshotTaken:        "snapshots-taken",
+	EvRecoveryStarted:      "recoveries-started",
+	EvReplayed:             "wal-replays",
 }
 
-// NopObserver implements Observer with no-ops. Embed it to write
-// observers that handle only a subset of events.
-type NopObserver struct{}
+func (k EventKind) String() string {
+	if int(k) < NumEventKinds {
+		return eventKindNames[k]
+	}
+	return fmt.Sprintf("event(%d)", uint8(k))
+}
 
-// TaskStarted implements Observer.
-func (NopObserver) TaskStarted(units.Time, *TaskState, cluster.NodeID) {}
+// Event is one simulation lifecycle or decision event. Kind selects
+// which payload fields are meaningful (see the EventKind constants);
+// the rest are zero.
+type Event struct {
+	Kind EventKind
+	// The reason of an EvTaskRequeued, EvTaskRetried or EvJobShed event.
+	Requeue RequeueReason
+	Retry   RetryReason
+	Shed    ShedReason
+	Now     units.Time
 
-// TaskPreempted implements Observer.
-func (NopObserver) TaskPreempted(units.Time, *TaskState, *TaskState, cluster.NodeID) {}
+	Task, Other *TaskState
+	Job         *JobState
+	Node, Peer  cluster.NodeID
+	// N is the epoch, failed-attempt count, scheduling period or replayed
+	// record count, depending on Kind.
+	N    int
+	View *View
 
-// TaskCompleted implements Observer.
-func (NopObserver) TaskCompleted(units.Time, *TaskState, cluster.NodeID) {}
+	Decision    PreemptionDecision
+	Degradation SolverDegradation
+	Violation   InvariantViolation
+	Span        TaskSpan
+}
 
-// JobCompleted implements Observer.
-func (NopObserver) JobCompleted(units.Time, *JobState) {}
+// Observer receives simulation lifecycle and decision events; attach one
+// via Config.Observer to trace a run (debugging, visualization, custom
+// metrics, audit logs). Observe runs synchronously inside the event loop
+// — keep it cheap and do not mutate simulator state. Implementations
+// switch on Event.Kind and ignore the kinds they do not handle.
+type Observer interface {
+	Observe(Event)
+}
 
-// EpochStarted implements Observer.
-func (NopObserver) EpochStarted(units.Time, int) {}
-
-// EpochEnded implements Observer.
-func (NopObserver) EpochEnded(units.Time, int, *View) {}
-
-// PreemptionConsidered implements Observer.
-func (NopObserver) PreemptionConsidered(units.Time, PreemptionDecision) {}
-
-// DisorderDetected implements Observer.
-func (NopObserver) DisorderDetected(units.Time, *TaskState, *TaskState, cluster.NodeID) {}
-
-// NodeFailed implements Observer.
-func (NopObserver) NodeFailed(units.Time, cluster.NodeID) {}
-
-// NodeRecovered implements Observer.
-func (NopObserver) NodeRecovered(units.Time, cluster.NodeID) {}
-
-// TaskEvicted implements Observer.
-func (NopObserver) TaskEvicted(units.Time, *TaskState, cluster.NodeID) {}
-
-// TaskRequeued implements Observer.
-func (NopObserver) TaskRequeued(units.Time, *TaskState, cluster.NodeID, RequeueReason) {}
-
-// TaskRetried implements Observer.
-func (NopObserver) TaskRetried(units.Time, *TaskState, cluster.NodeID, int, RetryReason) {}
-
-// TaskFailedTerminally implements Observer.
-func (NopObserver) TaskFailedTerminally(units.Time, *TaskState, cluster.NodeID) {}
-
-// SpeculationLaunched implements Observer.
-func (NopObserver) SpeculationLaunched(units.Time, *TaskState, cluster.NodeID, cluster.NodeID) {}
-
-// SpeculationWon implements Observer.
-func (NopObserver) SpeculationWon(units.Time, *TaskState, cluster.NodeID, cluster.NodeID) {}
-
-// SpeculationCancelled implements Observer.
-func (NopObserver) SpeculationCancelled(units.Time, *TaskState, cluster.NodeID) {}
-
-// NodeBlacklisted implements Observer.
-func (NopObserver) NodeBlacklisted(units.Time, cluster.NodeID) {}
-
-// SolverDegraded implements Observer.
-func (NopObserver) SolverDegraded(units.Time, SolverDegradation) {}
-
-// JobShed implements Observer.
-func (NopObserver) JobShed(units.Time, *JobState, ShedReason) {}
-
-// JobCancelled implements Observer.
-func (NopObserver) JobCancelled(units.Time, *JobState) {}
-
-// InvariantViolated implements Observer.
-func (NopObserver) InvariantViolated(units.Time, InvariantViolation) {}
-
-// TaskSpanClosed implements Observer.
-func (NopObserver) TaskSpanClosed(TaskSpan) {}
-
-// SnapshotTaken implements Observer.
-func (NopObserver) SnapshotTaken(units.Time, int) {}
-
-// RecoveryStarted implements Observer.
-func (NopObserver) RecoveryStarted(units.Time, int) {}
-
-// Replayed implements Observer.
-func (NopObserver) Replayed(units.Time, int) {}
-
-// Observers composes multiple observers; nil entries are skipped, so call
-// sites can build the slice from optional components without filtering.
+// Observers composes multiple observers, delivering each event to every
+// entry in order; nil entries are skipped, so call sites can build the
+// slice from optional components without filtering. An empty Observers
+// ignores every event.
 type Observers []Observer
 
-// TaskStarted implements Observer.
-func (os Observers) TaskStarted(now units.Time, t *TaskState, node cluster.NodeID) {
+// Observe implements Observer.
+func (os Observers) Observe(e Event) {
 	for _, o := range os {
 		if o != nil {
-			o.TaskStarted(now, t, node)
+			o.Observe(e)
 		}
 	}
 }
 
-// TaskPreempted implements Observer.
-func (os Observers) TaskPreempted(now units.Time, victim, starter *TaskState, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskPreempted(now, victim, starter, node)
-		}
+// emit delivers ev to the configured observer, if any. It inlines, so
+// the compiler builds the Event past the nil check: an unobserved run
+// builds nothing.
+func (e *Engine) emit(ev Event) {
+	if o := e.cfg.Observer; o != nil {
+		o.Observe(ev)
 	}
-}
-
-// TaskCompleted implements Observer.
-func (os Observers) TaskCompleted(now units.Time, t *TaskState, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskCompleted(now, t, node)
-		}
-	}
-}
-
-// JobCompleted implements Observer.
-func (os Observers) JobCompleted(now units.Time, j *JobState) {
-	for _, o := range os {
-		if o != nil {
-			o.JobCompleted(now, j)
-		}
-	}
-}
-
-// EpochStarted implements Observer.
-func (os Observers) EpochStarted(now units.Time, epoch int) {
-	for _, o := range os {
-		if o != nil {
-			o.EpochStarted(now, epoch)
-		}
-	}
-}
-
-// EpochEnded implements Observer.
-func (os Observers) EpochEnded(now units.Time, epoch int, v *View) {
-	for _, o := range os {
-		if o != nil {
-			o.EpochEnded(now, epoch, v)
-		}
-	}
-}
-
-// PreemptionConsidered implements Observer.
-func (os Observers) PreemptionConsidered(now units.Time, d PreemptionDecision) {
-	for _, o := range os {
-		if o != nil {
-			o.PreemptionConsidered(now, d)
-		}
-	}
-}
-
-// DisorderDetected implements Observer.
-func (os Observers) DisorderDetected(now units.Time, starter, victim *TaskState, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.DisorderDetected(now, starter, victim, node)
-		}
-	}
-}
-
-// NodeFailed implements Observer.
-func (os Observers) NodeFailed(now units.Time, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.NodeFailed(now, node)
-		}
-	}
-}
-
-// NodeRecovered implements Observer.
-func (os Observers) NodeRecovered(now units.Time, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.NodeRecovered(now, node)
-		}
-	}
-}
-
-// TaskEvicted implements Observer.
-func (os Observers) TaskEvicted(now units.Time, t *TaskState, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskEvicted(now, t, node)
-		}
-	}
-}
-
-// TaskRequeued implements Observer.
-func (os Observers) TaskRequeued(now units.Time, t *TaskState, node cluster.NodeID, reason RequeueReason) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskRequeued(now, t, node, reason)
-		}
-	}
-}
-
-// TaskRetried implements Observer.
-func (os Observers) TaskRetried(now units.Time, t *TaskState, node cluster.NodeID, attempt int, reason RetryReason) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskRetried(now, t, node, attempt, reason)
-		}
-	}
-}
-
-// TaskFailedTerminally implements Observer.
-func (os Observers) TaskFailedTerminally(now units.Time, t *TaskState, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskFailedTerminally(now, t, node)
-		}
-	}
-}
-
-// SpeculationLaunched implements Observer.
-func (os Observers) SpeculationLaunched(now units.Time, t *TaskState, primary, backup cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.SpeculationLaunched(now, t, primary, backup)
-		}
-	}
-}
-
-// SpeculationWon implements Observer.
-func (os Observers) SpeculationWon(now units.Time, t *TaskState, winner, loser cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.SpeculationWon(now, t, winner, loser)
-		}
-	}
-}
-
-// SpeculationCancelled implements Observer.
-func (os Observers) SpeculationCancelled(now units.Time, t *TaskState, backup cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.SpeculationCancelled(now, t, backup)
-		}
-	}
-}
-
-// NodeBlacklisted implements Observer.
-func (os Observers) NodeBlacklisted(now units.Time, node cluster.NodeID) {
-	for _, o := range os {
-		if o != nil {
-			o.NodeBlacklisted(now, node)
-		}
-	}
-}
-
-// SolverDegraded implements Observer.
-func (os Observers) SolverDegraded(now units.Time, d SolverDegradation) {
-	for _, o := range os {
-		if o != nil {
-			o.SolverDegraded(now, d)
-		}
-	}
-}
-
-// JobShed implements Observer.
-func (os Observers) JobShed(now units.Time, j *JobState, reason ShedReason) {
-	for _, o := range os {
-		if o != nil {
-			o.JobShed(now, j, reason)
-		}
-	}
-}
-
-// JobCancelled implements Observer.
-func (os Observers) JobCancelled(now units.Time, j *JobState) {
-	for _, o := range os {
-		if o != nil {
-			o.JobCancelled(now, j)
-		}
-	}
-}
-
-// InvariantViolated implements Observer.
-func (os Observers) InvariantViolated(now units.Time, v InvariantViolation) {
-	for _, o := range os {
-		if o != nil {
-			o.InvariantViolated(now, v)
-		}
-	}
-}
-
-// TaskSpanClosed implements Observer.
-func (os Observers) TaskSpanClosed(s TaskSpan) {
-	for _, o := range os {
-		if o != nil {
-			o.TaskSpanClosed(s)
-		}
-	}
-}
-
-// SnapshotTaken implements Observer.
-func (os Observers) SnapshotTaken(now units.Time, period int) {
-	for _, o := range os {
-		if o != nil {
-			o.SnapshotTaken(now, period)
-		}
-	}
-}
-
-// RecoveryStarted implements Observer.
-func (os Observers) RecoveryStarted(now units.Time, period int) {
-	for _, o := range os {
-		if o != nil {
-			o.RecoveryStarted(now, period)
-		}
-	}
-}
-
-// Replayed implements Observer.
-func (os Observers) Replayed(now units.Time, records int) {
-	for _, o := range os {
-		if o != nil {
-			o.Replayed(now, records)
-		}
-	}
-}
-
-// LogObserver writes one line per event, suitable for debugging small
-// simulations.
-type LogObserver struct {
-	W io.Writer
-	// Quiet suppresses the high-volume decision events (epochs and
-	// preemption considerations), keeping only lifecycle lines.
-	Quiet bool
-}
-
-// TaskStarted implements Observer.
-func (l *LogObserver) TaskStarted(now units.Time, t *TaskState, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v start    %-8v node%d\n", now, t.Key(), node)
-}
-
-// TaskPreempted implements Observer.
-func (l *LogObserver) TaskPreempted(now units.Time, victim, starter *TaskState, node cluster.NodeID) {
-	skey := "-"
-	if starter != nil {
-		skey = starter.Key().String()
-	}
-	fmt.Fprintf(l.W, "%-12v preempt  %-8v by %-8s node%d\n", now, victim.Key(), skey, node)
-}
-
-// TaskCompleted implements Observer.
-func (l *LogObserver) TaskCompleted(now units.Time, t *TaskState, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v complete %-8v node%d\n", now, t.Key(), node)
-}
-
-// JobCompleted implements Observer.
-func (l *LogObserver) JobCompleted(now units.Time, j *JobState) {
-	fmt.Fprintf(l.W, "%-12v job-done J%d met=%v\n", now, j.Dag.ID, j.MetDeadline())
-}
-
-// EpochStarted implements Observer.
-func (l *LogObserver) EpochStarted(now units.Time, epoch int) {
-	if !l.Quiet {
-		fmt.Fprintf(l.W, "%-12v epoch    #%d\n", now, epoch)
-	}
-}
-
-// EpochEnded implements Observer.
-func (l *LogObserver) EpochEnded(units.Time, int, *View) {}
-
-// PreemptionConsidered implements Observer.
-func (l *LogObserver) PreemptionConsidered(now units.Time, d PreemptionDecision) {
-	if l.Quiet {
-		return
-	}
-	fmt.Fprintf(l.W, "%-12v consider %-8v over %-8v gain=%.3g overhead=%.3g %s\n",
-		now, d.Candidate.Key(), d.Victim.Key(), d.Gain, d.Overhead, d.Verdict)
-}
-
-// DisorderDetected implements Observer.
-func (l *LogObserver) DisorderDetected(now units.Time, starter, victim *TaskState, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v disorder %-8v vs %-8v node%d\n", now, starter.Key(), victim.Key(), node)
-}
-
-// NodeFailed implements Observer.
-func (l *LogObserver) NodeFailed(now units.Time, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v node-fail node%d\n", now, node)
-}
-
-// NodeRecovered implements Observer.
-func (l *LogObserver) NodeRecovered(now units.Time, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v node-up  node%d\n", now, node)
-}
-
-// TaskEvicted implements Observer.
-func (l *LogObserver) TaskEvicted(now units.Time, t *TaskState, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v evict    %-8v node%d\n", now, t.Key(), node)
-}
-
-// TaskRequeued implements Observer.
-func (l *LogObserver) TaskRequeued(now units.Time, t *TaskState, node cluster.NodeID, reason RequeueReason) {
-	fmt.Fprintf(l.W, "%-12v requeue  %-8v node%d (%s)\n", now, t.Key(), node, reason)
-}
-
-// TaskRetried implements Observer.
-func (l *LogObserver) TaskRetried(now units.Time, t *TaskState, node cluster.NodeID, attempt int, reason RetryReason) {
-	fmt.Fprintf(l.W, "%-12v retry    %-8v node%d attempt=%d (%s)\n", now, t.Key(), node, attempt, reason)
-}
-
-// TaskFailedTerminally implements Observer.
-func (l *LogObserver) TaskFailedTerminally(now units.Time, t *TaskState, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v perm-fail %-8v node%d\n", now, t.Key(), node)
-}
-
-// SpeculationLaunched implements Observer.
-func (l *LogObserver) SpeculationLaunched(now units.Time, t *TaskState, primary, backup cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v spec     %-8v node%d backup on node%d\n", now, t.Key(), primary, backup)
-}
-
-// SpeculationWon implements Observer.
-func (l *LogObserver) SpeculationWon(now units.Time, t *TaskState, winner, loser cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v spec-won %-8v node%d beat node%d\n", now, t.Key(), winner, loser)
-}
-
-// SpeculationCancelled implements Observer.
-func (l *LogObserver) SpeculationCancelled(now units.Time, t *TaskState, backup cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v spec-cancel %-8v node%d\n", now, t.Key(), backup)
-}
-
-// NodeBlacklisted implements Observer.
-func (l *LogObserver) NodeBlacklisted(now units.Time, node cluster.NodeID) {
-	fmt.Fprintf(l.W, "%-12v blacklist node%d\n", now, node)
-}
-
-// SolverDegraded implements Observer.
-func (l *LogObserver) SolverDegraded(now units.Time, d SolverDegradation) {
-	fmt.Fprintf(l.W, "%-12v degrade  %s -> %s (%s, %d tasks)\n", now, d.From, d.To, d.Reason, d.PendingTasks)
-}
-
-// JobShed implements Observer.
-func (l *LogObserver) JobShed(now units.Time, j *JobState, reason ShedReason) {
-	fmt.Fprintf(l.W, "%-12v shed     J%d (%s)\n", now, j.Dag.ID, reason)
-}
-
-// JobCancelled implements Observer.
-func (l *LogObserver) JobCancelled(now units.Time, j *JobState) {
-	fmt.Fprintf(l.W, "%-12v cancel   J%d\n", now, j.ID())
-}
-
-// InvariantViolated implements Observer.
-func (l *LogObserver) InvariantViolated(now units.Time, v InvariantViolation) {
-	tkey := "-"
-	if v.Task != nil {
-		tkey = v.Task.Key().String()
-	}
-	fmt.Fprintf(l.W, "%-12v INVARIANT %s node%d %s: %s\n", now, v.Check, v.Node, tkey, v.Detail)
-}
-
-// TaskSpanClosed implements Observer.
-func (l *LogObserver) TaskSpanClosed(s TaskSpan) {
-	if l.Quiet {
-		return
-	}
-	fmt.Fprintf(l.W, "%-12v span     %-8v %s [%v, %v) node%d (%s)\n",
-		s.End, s.Task.Key(), s.Kind, s.Start, s.End, s.Node, s.Cause)
-}
-
-// SnapshotTaken implements Observer.
-func (l *LogObserver) SnapshotTaken(now units.Time, period int) {
-	fmt.Fprintf(l.W, "%-12v snapshot period=%d\n", now, period)
-}
-
-// RecoveryStarted implements Observer.
-func (l *LogObserver) RecoveryStarted(now units.Time, period int) {
-	fmt.Fprintf(l.W, "%-12v recovery period=%d\n", now, period)
-}
-
-// Replayed implements Observer.
-func (l *LogObserver) Replayed(now units.Time, records int) {
-	fmt.Fprintf(l.W, "%-12v replayed records=%d\n", now, records)
 }

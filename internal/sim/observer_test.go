@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"strings"
+	"fmt"
+	"slices"
 	"testing"
 
 	"dsp/internal/cluster"
@@ -10,18 +11,23 @@ import (
 
 // countingObserver tallies events.
 type countingObserver struct {
-	NopObserver
 	starts, preempts, completes, jobs int
 	lastPreemptStarter                *TaskState
 }
 
-func (c *countingObserver) TaskStarted(units.Time, *TaskState, cluster.NodeID) { c.starts++ }
-func (c *countingObserver) TaskPreempted(_ units.Time, _, s *TaskState, _ cluster.NodeID) {
-	c.preempts++
-	c.lastPreemptStarter = s
+func (c *countingObserver) Observe(e Event) {
+	switch e.Kind {
+	case EvTaskStarted:
+		c.starts++
+	case EvTaskPreempted:
+		c.preempts++
+		c.lastPreemptStarter = e.Other
+	case EvTaskCompleted:
+		c.completes++
+	case EvJobCompleted:
+		c.jobs++
+	}
 }
-func (c *countingObserver) TaskCompleted(units.Time, *TaskState, cluster.NodeID) { c.completes++ }
-func (c *countingObserver) JobCompleted(units.Time, *JobState)                   { c.jobs++ }
 
 func TestObserverReceivesEvents(t *testing.T) {
 	j := sizedJob(0, 10000, 1000)
@@ -58,6 +64,11 @@ func TestObserverReceivesEvents(t *testing.T) {
 	}
 }
 
+// observerFunc adapts a closure to the Observer interface.
+type observerFunc func(Event)
+
+func (f observerFunc) Observe(e Event) { f(e) }
+
 func TestObserversCompose(t *testing.T) {
 	a := &countingObserver{}
 	b := &countingObserver{}
@@ -75,11 +86,6 @@ func TestObserversCompose(t *testing.T) {
 	}
 }
 
-// NopObserver must satisfy the full interface so implementors can embed
-// it and stay compatible as the event surface grows.
-var _ Observer = NopObserver{}
-var _ Observer = Observers{}
-
 func TestObserversSkipNil(t *testing.T) {
 	a := &countingObserver{}
 	j := sizedJob(0, 1000)
@@ -88,7 +94,7 @@ func TestObserversSkipNil(t *testing.T) {
 	_, err := Run(Config{
 		Cluster:   testCluster(1, 1),
 		Scheduler: rrScheduler{},
-		Observer:  Observers{nil, a, nil, NopObserver{}},
+		Observer:  Observers{nil, a, nil, Observers{}},
 	}, mkWorkload([]units.Time{0}, j))
 	if err != nil {
 		t.Fatal(err)
@@ -107,11 +113,16 @@ func TestObserverDecisionEvents(t *testing.T) {
 		epochs    int
 		ends      int
 	}{}
-	obsv := observerFuncs{
-		onConsidered: func(d PreemptionDecision) { rec.decisions = append(rec.decisions, d) },
-		onEpochStart: func() { rec.epochs++ },
-		onEpochEnd:   func() { rec.ends++ },
-	}
+	obsv := observerFunc(func(e Event) {
+		switch e.Kind {
+		case EvPreemptionConsidered:
+			rec.decisions = append(rec.decisions, e.Decision)
+		case EvEpochStarted:
+			rec.epochs++
+		case EvEpochEnded:
+			rec.ends++
+		}
+	})
 	j := sizedJob(0, 10000, 1000)
 	pre := &onceActor{act: func(now units.Time, v *View) []Action {
 		return []Action{{Node: 0, Victim: v.Running(0)[0], Starter: v.Queue(0)[0], Urgent: true}}
@@ -152,30 +163,6 @@ func TestObserverDecisionEvents(t *testing.T) {
 	}
 }
 
-// observerFuncs adapts closures to the Observer interface for tests.
-type observerFuncs struct {
-	NopObserver
-	onConsidered func(PreemptionDecision)
-	onEpochStart func()
-	onEpochEnd   func()
-}
-
-func (o observerFuncs) PreemptionConsidered(_ units.Time, d PreemptionDecision) {
-	if o.onConsidered != nil {
-		o.onConsidered(d)
-	}
-}
-func (o observerFuncs) EpochStarted(units.Time, int) {
-	if o.onEpochStart != nil {
-		o.onEpochStart()
-	}
-}
-func (o observerFuncs) EpochEnded(units.Time, int, *View) {
-	if o.onEpochEnd != nil {
-		o.onEpochEnd()
-	}
-}
-
 func TestVerdictStrings(t *testing.T) {
 	want := map[Verdict]string{
 		VerdictAccepted:       "accepted",
@@ -193,21 +180,40 @@ func TestVerdictStrings(t *testing.T) {
 	}
 }
 
-func TestLogObserverOutput(t *testing.T) {
-	var sb strings.Builder
-	j := sizedJob(0, 1000)
-	_, err := Run(Config{
-		Cluster:   testCluster(1, 1),
-		Scheduler: rrScheduler{},
-		Observer:  &LogObserver{W: &sb},
-	}, mkWorkload([]units.Time{0}, j))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"start", "complete", "job-done J0"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log missing %q:\n%s", want, out)
+// TestEventKindStrings pins the kind taxonomy: every kind has its own
+// non-fallback name, so tallies and logs keyed by name never collide.
+func TestEventKindStrings(t *testing.T) {
+	seen := map[string]EventKind{}
+	for k := EventKind(0); int(k) < NumEventKinds; k++ {
+		name := k.String()
+		if name == "" || name == fmt.Sprintf("event(%d)", uint8(k)) {
+			t.Errorf("EventKind(%d) has no name", k)
 		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("EventKind(%d) and EventKind(%d) share the name %q", prev, k, name)
+		}
+		seen[name] = k
+	}
+	if got := EventKind(NumEventKinds).String(); got != fmt.Sprintf("event(%d)", NumEventKinds) {
+		t.Errorf("out-of-range kind = %q", got)
+	}
+}
+
+// TestObserversDeliverInOrder checks the fan-out contract directly:
+// every event reaches every non-nil entry, in slice order.
+func TestObserversDeliverInOrder(t *testing.T) {
+	var got []string
+	tag := func(name string) Observer {
+		return observerFunc(func(e Event) { got = append(got, name+":"+e.Kind.String()) })
+	}
+	fan := Observers{tag("a"), nil, tag("b"), Observers{nil, tag("c")}}
+	fan.Observe(Event{Kind: EvTaskStarted})
+	fan.Observe(Event{Kind: EvReplayed})
+	want := []string{
+		"a:task-starts", "b:task-starts", "c:task-starts",
+		"a:wal-replays", "b:wal-replays", "c:wal-replays",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("delivery = %v, want %v", got, want)
 	}
 }

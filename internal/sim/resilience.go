@@ -75,16 +75,12 @@ func (e *Engine) retryOrFail(k cluster.NodeID, t *TaskState, now units.Time, rea
 	if budget := e.retryBudget(); budget >= 0 && t.Attempts > budget {
 		t.Phase = Failed
 		e.metrics.TerminalFailures++
-		if o := e.cfg.Observer; o != nil {
-			o.TaskFailedTerminally(now, t, k)
-		}
+		e.emit(Event{Kind: EvTaskFailedTerminally, Now: now, Task: t, Node: k})
 		e.failJob(t.Job, now)
 		return
 	}
 	e.metrics.Retries++
-	if o := e.cfg.Observer; o != nil {
-		o.TaskRetried(now, t, k, t.Attempts, reason)
-	}
+	e.emit(Event{Kind: EvTaskRetried, Now: now, Task: t, Node: k, N: t.Attempts, Retry: reason})
 	delay := e.backoffDelay(t.Attempts)
 	if delay <= 0 {
 		return // already Pending; the next period re-places it
@@ -205,9 +201,7 @@ func (e *Engine) addPenalty(k cluster.NodeID, amount float64, now units.Time) {
 	if th := e.cfg.BlacklistThreshold; th > 0 && !ns.blacklisted && ns.penalty >= th {
 		ns.blacklisted = true
 		e.metrics.Blacklistings++
-		if o := e.cfg.Observer; o != nil {
-			o.NodeBlacklisted(now, k)
-		}
+		e.emit(Event{Kind: EvNodeBlacklisted, Now: now, Node: k})
 	}
 }
 

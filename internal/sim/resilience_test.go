@@ -10,33 +10,33 @@ import (
 
 // resilienceObserver tallies the resilience event surface.
 type resilienceObserver struct {
-	NopObserver
 	retries, terminals        int
 	specLaunch, specWon       int
 	specCancel, blacklistings int
 	failed, recovered, evicts int
 }
 
-func (r *resilienceObserver) TaskRetried(_ units.Time, _ *TaskState, _ cluster.NodeID, _ int, _ RetryReason) {
-	r.retries++
-}
-func (r *resilienceObserver) TaskFailedTerminally(units.Time, *TaskState, cluster.NodeID) {
-	r.terminals++
-}
-func (r *resilienceObserver) SpeculationLaunched(units.Time, *TaskState, cluster.NodeID, cluster.NodeID) {
-	r.specLaunch++
-}
-func (r *resilienceObserver) SpeculationWon(units.Time, *TaskState, cluster.NodeID, cluster.NodeID) {
-	r.specWon++
-}
-func (r *resilienceObserver) SpeculationCancelled(units.Time, *TaskState, cluster.NodeID) {
-	r.specCancel++
-}
-func (r *resilienceObserver) NodeBlacklisted(units.Time, cluster.NodeID) { r.blacklistings++ }
-func (r *resilienceObserver) NodeFailed(units.Time, cluster.NodeID)      { r.failed++ }
-func (r *resilienceObserver) NodeRecovered(units.Time, cluster.NodeID)   { r.recovered++ }
-func (r *resilienceObserver) TaskEvicted(units.Time, *TaskState, cluster.NodeID) {
-	r.evicts++
+func (r *resilienceObserver) Observe(e Event) {
+	switch e.Kind {
+	case EvTaskRetried:
+		r.retries++
+	case EvTaskFailedTerminally:
+		r.terminals++
+	case EvSpeculationLaunched:
+		r.specLaunch++
+	case EvSpeculationWon:
+		r.specWon++
+	case EvSpeculationCancelled:
+		r.specCancel++
+	case EvNodeBlacklisted:
+		r.blacklistings++
+	case EvNodeFailed:
+		r.failed++
+	case EvNodeRecovered:
+		r.recovered++
+	case EvTaskEvicted:
+		r.evicts++
+	}
 }
 
 func TestRetryBudgetExhaustionFailsJobCleanly(t *testing.T) {

@@ -127,7 +127,7 @@ type Result struct {
 	// the overload.
 	PeakPendingTasks int
 	// SolverDegradations counts downgrades along the scheduler's
-	// degradation ladder (SolverDegraded events).
+	// degradation ladder (EvSolverDegraded events).
 	SolverDegradations int
 	// InvariantViolations counts runtime-auditor detections, and
 	// Quarantines the nodes and tasks it isolated in response (see

@@ -112,7 +112,7 @@ func (c SpanCause) String() string {
 }
 
 // TaskSpan is one closed span of a task's timeline, delivered via
-// Observer.TaskSpanClosed. Node is where the span was spent (-1 for
+// an EvTaskSpanClosed event. Node is where the span was spent (-1 for
 // off-node waits: pending and backoff).
 type TaskSpan struct {
 	Task  *TaskState
@@ -130,9 +130,9 @@ func (e *Engine) emitSpan(t *TaskState, kind SpanKind, cause SpanCause, node clu
 		return
 	}
 	e.cfg.Prof.Enter(prof.PhaseSpans)
-	e.cfg.Observer.TaskSpanClosed(TaskSpan{
+	e.emit(Event{Kind: EvTaskSpanClosed, Now: end, Span: TaskSpan{
 		Task: t, Kind: kind, Cause: cause, Node: node, Start: start, End: end,
-	})
+	}})
 	e.cfg.Prof.Exit()
 }
 

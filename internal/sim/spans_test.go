@@ -17,7 +17,6 @@ import (
 
 // spanCollector records every closed span and every completed job.
 type spanCollector struct {
-	sim.NopObserver
 	spans map[dag.Key][]sim.TaskSpan
 	jobs  []*sim.JobState
 }
@@ -26,13 +25,14 @@ func newSpanCollector() *spanCollector {
 	return &spanCollector{spans: make(map[dag.Key][]sim.TaskSpan)}
 }
 
-func (c *spanCollector) TaskSpanClosed(s sim.TaskSpan) {
-	k := s.Task.Key()
-	c.spans[k] = append(c.spans[k], s)
-}
-
-func (c *spanCollector) JobCompleted(_ units.Time, j *sim.JobState) {
-	c.jobs = append(c.jobs, j)
+func (c *spanCollector) Observe(e sim.Event) {
+	switch e.Kind {
+	case sim.EvTaskSpanClosed:
+		k := e.Span.Task.Key()
+		c.spans[k] = append(c.spans[k], e.Span)
+	case sim.EvJobCompleted:
+		c.jobs = append(c.jobs, e.Job)
+	}
 }
 
 // checkTiling asserts the span-tiling invariant for every task of every

@@ -201,9 +201,7 @@ func (e *Engine) launchBackup(t *TaskState, k cluster.NodeID, now units.Time) {
 	t.backup = br
 	e.activeBackups++
 	e.metrics.Speculations++
-	if o := e.cfg.Observer; o != nil {
-		o.SpeculationLaunched(now, t, t.Node, k)
-	}
+	e.emit(Event{Kind: EvSpeculationLaunched, Now: now, Task: t, Node: t.Node, Peer: k})
 }
 
 // armBackupComplete schedules a speculative copy's completion at
@@ -270,9 +268,7 @@ func (e *Engine) backupComplete(br *backupRun, now units.Time) {
 		e.closeWaitSpan(t, now)
 	}
 	e.metrics.SpeculationWins++
-	if o := e.cfg.Observer; o != nil {
-		o.SpeculationWon(now, t, br.node, loser)
-	}
+	e.emit(Event{Kind: EvSpeculationWon, Now: now, Task: t, Node: br.node, Peer: loser})
 	t.Node = br.node
 	e.finish(br.node, t, now)
 	if int(loser) >= 0 && loser != br.node {
@@ -293,9 +289,7 @@ func (e *Engine) cancelBackup(br *backupRun, now units.Time) {
 	if now > br.launched {
 		e.metrics.SpeculativeWaste += now - br.launched
 	}
-	if o := e.cfg.Observer; o != nil {
-		o.SpeculationCancelled(now, br.task, br.node)
-	}
+	e.emit(Event{Kind: EvSpeculationCancelled, Now: now, Task: br.task, Node: br.node})
 	if !e.nodes[br.node].down {
 		e.tryFill(br.node, now)
 	}

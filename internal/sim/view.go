@@ -26,7 +26,7 @@ type Scheduler interface {
 // Action is one preemption decision: suspend Victim (running on Node) and
 // start Starter (waiting on Node) in its place. The remaining fields are
 // optional decision metadata a policy may attach; the engine copies them
-// into the PreemptionConsidered observer event so audit logs can answer
+// into the EvPreemptionConsidered observer event so audit logs can answer
 // "why was this task preempted".
 type Action struct {
 	Node    cluster.NodeID
@@ -161,11 +161,11 @@ func (v *View) Blacklisted(k cluster.NodeID) bool {
 	return e.isBlacklisted(k, e.q.Now())
 }
 
-// Observer returns the run's configured observer, or nil. Policies use it
-// to report decisions that never become Actions — e.g. the DSP PP filter
+// Emit delivers ev to the run's observer, if any. Policies use it to
+// report decisions that never become Actions — e.g. the DSP PP filter
 // suppressing a preemption whose gain would not cover the context-switch
-// cost. Callers must nil-check.
-func (v *View) Observer() Observer { return v.engine.cfg.Observer }
+// cost.
+func (v *View) Emit(ev Event) { v.engine.emit(ev) }
 
 // Checkpoint returns the active checkpoint policy.
 func (v *View) Checkpoint() cluster.CheckpointPolicy { return v.engine.cfg.Checkpoint }
@@ -177,7 +177,5 @@ func (v *View) Checkpoint() cluster.CheckpointPolicy { return v.engine.cfg.Check
 // no observer is attached.
 func (v *View) ReportSolverDegraded(now units.Time, d SolverDegradation) {
 	v.engine.metrics.SolverDegradations++
-	if o := v.engine.cfg.Observer; o != nil {
-		o.SolverDegraded(now, d)
-	}
+	v.engine.emit(Event{Kind: EvSolverDegraded, Now: now, Degradation: d})
 }

@@ -25,14 +25,14 @@ type Span struct {
 	Node  cluster.NodeID
 	Start units.Time
 	End   units.Time
-	// Preempted marks spans that ended in a suspension rather than
+	// Preempted marks spans that ended in an interruption (preemption,
+	// eviction, requeue, retry, failure, losing to a backup) rather than
 	// completion (drawn with a hatched border).
 	Preempted bool
 }
 
 // Recorder collects spans; attach it via sim.Config.Observer.
 type Recorder struct {
-	sim.NopObserver
 	Spans []Span
 	// open maps a task to the index of its currently open span (indices,
 	// not pointers: append may reallocate Spans).
@@ -44,36 +44,29 @@ func NewRecorder() *Recorder {
 	return &Recorder{open: make(map[dag.Key]int)}
 }
 
-// TaskStarted implements sim.Observer.
-func (r *Recorder) TaskStarted(now units.Time, t *sim.TaskState, node cluster.NodeID) {
-	r.Spans = append(r.Spans, Span{Task: t.Key(), Node: node, Start: now, End: -1})
-	r.open[t.Key()] = len(r.Spans) - 1
-}
-
-// TaskPreempted implements sim.Observer.
-func (r *Recorder) TaskPreempted(now units.Time, victim, _ *sim.TaskState, _ cluster.NodeID) {
-	if i, ok := r.open[victim.Key()]; ok {
-		r.Spans[i].End = now
-		r.Spans[i].Preempted = true
-		delete(r.open, victim.Key())
+// Observe implements sim.Observer. A span opens when a task takes a
+// slot and closes on every kind that takes it out again; all but
+// completion mark the span interrupted.
+func (r *Recorder) Observe(e sim.Event) {
+	switch e.Kind {
+	case sim.EvTaskStarted:
+		r.Spans = append(r.Spans, Span{Task: e.Task.Key(), Node: e.Node, Start: e.Now, End: -1})
+		r.open[e.Task.Key()] = len(r.Spans) - 1
+	case sim.EvTaskCompleted:
+		r.close(e, false)
+	case sim.EvTaskPreempted, sim.EvTaskEvicted, sim.EvTaskRequeued,
+		sim.EvTaskRetried, sim.EvTaskFailedTerminally, sim.EvSpeculationWon:
+		r.close(e, true)
 	}
 }
 
-// TaskCompleted implements sim.Observer.
-func (r *Recorder) TaskCompleted(now units.Time, t *sim.TaskState, _ cluster.NodeID) {
-	if i, ok := r.open[t.Key()]; ok {
-		r.Spans[i].End = now
-		delete(r.open, t.Key())
-	}
-}
-
-// TaskEvicted implements sim.Observer: a node crash cuts the span short
-// the same way a preemption does.
-func (r *Recorder) TaskEvicted(now units.Time, t *sim.TaskState, _ cluster.NodeID) {
-	if i, ok := r.open[t.Key()]; ok {
-		r.Spans[i].End = now
-		r.Spans[i].Preempted = true
-		delete(r.open, t.Key())
+// close ends the event task's open span, if it has one.
+func (r *Recorder) close(e sim.Event, interrupted bool) {
+	k := e.Task.Key()
+	if i, ok := r.open[k]; ok {
+		r.Spans[i].End = e.Now
+		r.Spans[i].Preempted = interrupted
+		delete(r.open, k)
 	}
 }
 
